@@ -97,11 +97,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _NotText(Exception):
+    """An input that does not decode as UTF-8; the message names the input."""
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "<stdin>" if path == "-" else path
+        raise _NotText(f"{name}: not UTF-8 text ({exc})") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -115,7 +123,7 @@ def _print_trace(event: str, *fields) -> None:
 def _cmd_solve(args) -> int:
     try:
         g = _load_graph(args.input)
-    except (OSError, GraphFormatError) as exc:
+    except (OSError, GraphFormatError, _NotText) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trace = _print_trace if args.trace else None
@@ -178,7 +186,7 @@ def _cmd_verify(args) -> int:
         g = _load_graph(args.input)
         factor_text = _read_text(args.factor)
         edges = parse_factor(g, factor_text)
-    except (OSError, GraphFormatError) as exc:
+    except (OSError, GraphFormatError, _NotText) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ok, report = verify_factor(g, args.k, edges)

@@ -1,18 +1,18 @@
-"""Outer solve loop, feasibility prechecks, and the bipartite specialization.
+"""The solve loop, feasibility prechecks, and the bipartite specialization.
 
-compute_k_factor starts from the empty subgraph and applies augmenting
-trails until the deficit hits zero (factor found) or the trail search is
-exhausted (no factor). Every augmentation drops the deficit by exactly 2
-and keeps the subgraph k-limited; these invariants are enforced with real
-raises, not debug-only asserts, and any returned factor is re-verified
-k-regular spanning before the outcome is built.
+Both entry points run one loop, _solve: precheck, then apply augmenting
+trails from the empty subgraph until the deficit hits zero (factor found)
+or the trail finder gives up (no factor). compute_k_factor finds trails
+with the layered search, find_augmenting_trail. compute_bipartite_k_factor
+refuses non-bipartite input and uses _bfs_augmenting_path, a breadth-first
+shortest alternating path search that is sound on bipartite hosts only.
 
-compute_bipartite_k_factor runs the same loop but finds its trails with a
-breadth-first shortest alternating path search. On a bipartite host every
-vertex is reachable from a fixed start at one parity only, so a single
-visited mark per vertex suffices and the first completed path is
-vertex-simple. Non-bipartite input is refused rather than silently passed
-to the general engine.
+A finder is called as find(g, m, trace, counters). It returns a Trail or
+None, adds its extractions and blossom operations to the SearchCounters,
+and may raise AssertionError on a trail it finds malformed. The loop then
+checks each trail with real raises: apply_trail must accept it (a refusal
+becomes AssertionError), the deficit must drop by exactly 2, and a found
+factor is re-verified k-regular spanning.
 """
 
 from __future__ import annotations
@@ -77,6 +77,11 @@ def compute_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
     condition failed before any search). A successful run performs exactly
     k*n/2 augmentations.
     """
+    return _solve(g, k, find_augmenting_trail, trace)
+
+
+def _solve(g: Graph, k: int, find, trace) -> SolveOutcome:
+    """Precheck, then augment with the trails find returns until none is left."""
     t0 = time.perf_counter()
     stats = SolveStats()
     reason = feasibility_precheck(g, k)
@@ -86,27 +91,27 @@ def compute_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
     counters = SearchCounters()
     m = KLimitedSubgraph(g, k)
     while m.deficit > 0:
-        trail = find_augmenting_trail(g, m, trace, counters)
+        trail = find(g, m, trace, counters)
         if trail is None:
-            stats.trails_examined = counters.extracted
-            stats.blossom_operations = counters.blossoms
-            stats.elapsed_s = time.perf_counter() - t0
-            return SolveOutcome(NO_FACTOR, None, stats, "trail search exhausted")
+            break
         before = m.deficit
         try:
             m = m.apply_trail(trail)
         except ValueError as exc:
-            # the search engine handed back a non-augmenting trail
+            # the trail finder handed back a non-augmenting trail
             raise AssertionError(str(exc)) from exc
         if m.deficit != before - 2:
             raise AssertionError("deficit did not drop by exactly 2")
         stats.augmentations += 1
+    stats.trails_examined = counters.extracted
+    stats.blossom_operations = counters.blossoms
+    if m.deficit > 0:
+        stats.elapsed_s = time.perf_counter() - t0
+        return SolveOutcome(NO_FACTOR, None, stats, "trail search exhausted")
     factor = m.member_edges()
     ok, bad = verify_factor(g, k, factor)
     if not ok:
         raise AssertionError(f"internal error: computed factor fails verification at {bad}")
-    stats.trails_examined = counters.extracted
-    stats.blossom_operations = counters.blossoms
     stats.elapsed_s = time.perf_counter() - t0
     return SolveOutcome(FACTOR_FOUND, factor, stats)
 
@@ -162,11 +167,15 @@ def _check_bipartition(g: Graph, colors) -> None:
             raise ValueError(f"bipartition invalid: edge ({u}, {v}) lies inside one part")
 
 
-def _bfs_augmenting_path(g: Graph, m: KLimitedSubgraph, trace=None) -> Trail | None:
+def _bfs_augmenting_path(
+    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+) -> Trail | None:
     """Shortest alternating blue/red path between unfilled vertices.
 
     Sound on bipartite hosts only, where vertex parity along any
-    alternating walk from a fixed start is determined by its side.
+    alternating walk from a fixed start is determined by its side, so one
+    visited mark per vertex suffices. Each returned path counts as one
+    extraction; one that revisits a vertex raises AssertionError.
     """
     k = m.k
     deg = m.deg
@@ -197,6 +206,10 @@ def _bfs_augmenting_path(g: Graph, m: KLimitedSubgraph, trace=None) -> Trail | N
                             x = tails[back]
                         darts.reverse()
                         found = Trail(g, tuple(darts))
+                        if len(set(found.vertices())) != len(darts) + 1:
+                            raise AssertionError("bipartite search returned a non-simple path")
+                        if counters is not None:
+                            counters.extracted += 1
                         if trace:
                             trace("accepted", *found.darts)
                         return found
@@ -217,8 +230,8 @@ def compute_bipartite_k_factor(
 
     When no bipartition is supplied one is computed; an odd cycle, or a
     supplied part containing one of its own edges, raises ValueError.
-    Every augmenting path returned by the search is vertex-simple, and the
-    engine re-checks that before applying it.
+    The solve itself is the shared loop with the breadth-first path
+    finder, which checks that every path it returns is vertex-simple.
     """
     if bipartition is None:
         bipartition = two_coloring(g)
@@ -226,30 +239,4 @@ def compute_bipartite_k_factor(
             raise ValueError("graph is not bipartite")
     else:
         _check_bipartition(g, bipartition)
-    t0 = time.perf_counter()
-    stats = SolveStats()
-    reason = feasibility_precheck(g, k)
-    if reason is not None:
-        stats.elapsed_s = time.perf_counter() - t0
-        return SolveOutcome(INFEASIBLE_PRECHECK, None, stats, reason)
-    m = KLimitedSubgraph(g, k)
-    while m.deficit > 0:
-        trail = _bfs_augmenting_path(g, m, trace)
-        if trail is None:
-            stats.elapsed_s = time.perf_counter() - t0
-            return SolveOutcome(NO_FACTOR, None, stats, "path search exhausted")
-        ok, why = m.validate_augmenting_trail(trail)
-        if not ok:
-            raise AssertionError(f"path search returned an invalid trail: {why}")
-        vs = trail.vertices()
-        if len(set(vs)) != len(vs):
-            raise AssertionError("bipartite search returned a non-simple path")
-        m = m.apply_trail(trail)
-        stats.augmentations += 1
-        stats.trails_examined += 1
-    factor = m.member_edges()
-    ok, bad = verify_factor(g, k, factor)
-    if not ok:
-        raise AssertionError(f"internal error: computed factor fails verification at {bad}")
-    stats.elapsed_s = time.perf_counter() - t0
-    return SolveOutcome(FACTOR_FOUND, factor, stats)
+    return _solve(g, k, _bfs_augmenting_path, trace)

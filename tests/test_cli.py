@@ -234,6 +234,26 @@ def test_verify_unknown_edge_exits_2(c6_file, tmp_path, capsys):
     assert err == "error: line 1: unknown edge (0, 3)\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input", "BAD", "--k", "1"],
+        ["verify", "GOOD", "--input", "BAD", "--k", "2"],
+        ["verify", "BAD", "--input", "GOOD", "--k", "2"],
+    ],
+    ids=["solve-input", "verify-input", "verify-factor"],
+)
+def test_non_utf8_file_exits_2(argv, c6_file, tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"3 1\n0 1\n\xff\xfe\n")
+    files = {"BAD": str(bad), "GOOD": c6_file}
+    code = main([files.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith(f"error: {bad}: not UTF-8 text (")
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # difftest
 

@@ -12,12 +12,14 @@ from kfactor import (
     NO_FACTOR,
     Graph,
     SolveOutcome,
+    Trail,
     compute_bipartite_k_factor,
     compute_k_factor,
     feasibility_precheck,
     two_coloring,
     verify_factor,
 )
+from kfactor import solver
 from kfactor.oracle import random_gnp
 
 from bruteforce import (
@@ -273,7 +275,7 @@ def test_bipartite_path_matching():
 def test_bipartite_star_has_no_perfect_matching():
     out = compute_bipartite_k_factor(star_graph(3), 1)
     assert out.status == NO_FACTOR
-    assert out.reason == "path search exhausted"
+    assert out.reason == "trail search exhausted"
 
 
 def test_bipartite_precheck_still_runs():
@@ -294,10 +296,22 @@ def test_bipartite_paths_are_vertex_simple():
     assert out.status == FACTOR_FOUND
     accepted = [e for e in events if e[0] == "accepted"]
     assert len(accepted) == out.stats.augmentations == 12
+    assert out.stats.trails_examined == out.stats.augmentations
+    assert out.stats.blossom_operations == 0
     for e in accepted:
         darts = e[1:]
         vs = [g.dart_tails[darts[0]]] + [g.dart_heads[d] for d in darts]
         assert len(set(vs)) == len(vs)
+
+
+@pytest.mark.parametrize("solve", [compute_k_factor, compute_bipartite_k_factor])
+def test_solve_loop_refuses_a_bad_trail(solve, monkeypatch):
+    # darts 0 and 2 chain 0 -> 1 -> 2 on C4: an even trail, never augmenting
+    bad = lambda g, m, *rest: Trail(g, (0, 2))  # noqa: E731
+    monkeypatch.setattr(solver, "find_augmenting_trail", bad)
+    monkeypatch.setattr(solver, "_bfs_augmenting_path", bad)
+    with pytest.raises(AssertionError, match="trail length must be odd"):
+        solve(cycle_graph(4), 2)
 
 
 def test_bipartite_agrees_with_general_solver_randomized():
