@@ -73,7 +73,7 @@ def main() -> None:
     print()
 
     print("5. apply the trail: memberships along it flip, deficit drops by 2")
-    after = m.apply_trail(second.as_trail())
+    after = m.apply_trail(second)
     print(f"   member edges {sorted(after.in_m)}, degrees {list(after.deg)}")
     print(f"   deficit {m.deficit} -> {after.deficit}: this is a 2-factor")
 

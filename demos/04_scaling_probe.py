@@ -2,10 +2,10 @@
 
 Doubling n on a d-regular host doubles m as well, so if the solver's cost
 grows like k * m * n the time per rung should rise by roughly 4x, with
-plenty of slack for caches and constant factors. The same table is
-available from the command line:
+plenty of slack for caches and constant factors. This is a library-level
+walkthrough; the measured, answer-checked timings live in perfbench:
 
-    kfactor bench --n 250,500,1000 --d 6 --k 2 --seed 3 --repeat 3
+    python3 perfbench/run.py --workload regular --seed 1 --seconds 20 --trace 0
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ cycle cover at k = 2). The solver grows a degree-capped subgraph one
 augmenting trail at a time: each trail alternates between non-member and
 member edges, is found with a layered search over darts (oriented half
 edges), and repairs fold-backs through odd cycles with a blossom deletion
-step. A brute-force oracle, a differential-test harness, and a scaling
-benchmark ship alongside the solver; `kfactor --help` exposes all of it on
-the command line.
+step. A brute-force oracle and a differential-test harness ship alongside
+the solver; `kfactor --help` exposes the solver, the factor checker and the
+harness on the command line.
 """
 
 from .difftest import DiffConfig, DiffReport, DiffRow, run_difftest
@@ -25,7 +25,6 @@ from .oracle import (
 )
 from .search import (
     BlossomViolation,
-    DirectedTrail,
     LayeredDartGraph,
     SearchCounters,
     blossom_operation,
@@ -66,7 +65,6 @@ __all__ = [
     "serialize_factor",
     "parse_factor",
     "LayeredDartGraph",
-    "DirectedTrail",
     "BlossomViolation",
     "SearchCounters",
     "build_layers",

@@ -1,10 +1,9 @@
-"""Command line: solve, verify, difftest, and bench.
+"""Command line: solve, verify and difftest.
 
 Exit codes:
     solve:    0 factor printed, 1 no factor, 2 bad input or usage.
     verify:   0 factor valid, 1 degree violations, 2 bad input or usage.
     difftest: 0 clean, 1 completeness gaps only, 2 soundness failures or errors.
-    bench:    0 table printed, 2 bad ladder or usage.
 """
 
 from __future__ import annotations
@@ -12,14 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .difftest import DiffConfig, run_difftest
 from .graph import Graph, GraphFormatError, parse_graph
-from .oracle import DEFAULT_EDGE_CAP, brute_force_k_factor, random_regular
+from .oracle import DEFAULT_EDGE_CAP, brute_force_k_factor
 from .solver import FACTOR_FOUND, compute_bipartite_k_factor, compute_k_factor, verify_factor
 from .subgraph import parse_factor, serialize_factor
-import random
 
 
 def _positive_int(text: str) -> int:
@@ -30,20 +27,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
-
-
-def _ladder(text: str) -> list[int]:
-    try:
-        values = [int(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list") from None
-    if not values:
-        raise argparse.ArgumentTypeError("ladder is empty")
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("ladder entries must be >= 1")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise argparse.ArgumentTypeError("ladder must be strictly increasing")
-    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,17 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--json", action="store_true")
     diff.set_defaults(func=_cmd_difftest)
 
-    bench = sub.add_parser("bench", help="time the solver on a d-regular size ladder")
-    bench.add_argument("--n", type=_ladder, required=True,
-                       help="comma-separated strictly increasing vertex counts")
-    bench.add_argument("--d", type=_positive_int, required=True)
-    bench.add_argument("--k", type=_positive_int, required=True)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeat", type=_positive_int, default=1,
-                       help="solve each size this many times and report the fastest")
-    bench.add_argument("--json", action="store_true")
-    bench.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -102,11 +74,14 @@ class _NotText(Exception):
 
 
 def _read_text(path: str) -> str:
+    """Read stdin ("-") or a file as bytes and decode strictly, whatever the locale."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         name = "<stdin>" if path == "-" else path
         raise _NotText(f"{name}: not UTF-8 text ({exc})") from None
@@ -235,40 +210,6 @@ def _cmd_difftest(args) -> int:
     else:
         sys.stdout.write(report.render())
     return report.exit_code()
-
-
-def _cmd_bench(args) -> int:
-    rows = []
-    for n in args.n:
-        if args.d >= n or (n * args.d) % 2:
-            print(f"error: no simple {args.d}-regular graph on {n} vertices", file=sys.stderr)
-            return 2
-        g = random_regular(n, args.d, random.Random(args.seed))
-        elapsed = float("inf")
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            outcome = compute_k_factor(g, args.k)
-            elapsed = min(elapsed, time.perf_counter() - t0)
-        rows.append({
-            "n": n,
-            "d": args.d,
-            "k": args.k,
-            "m": g.m,
-            "status": outcome.status,
-            "augmentations": outcome.stats.augmentations,
-            "time_s": round(elapsed, 4),
-            "time_per_kmn": elapsed / (args.k * g.m * n),
-        })
-    if args.json:
-        print(json.dumps(rows, indent=2))
-    else:
-        print(f"{'n':>8} {'d':>4} {'k':>4} {'m':>9} {'status':>16} {'augment':>9} {'time_s':>10} {'time/(k*m*n)':>13}")
-        for r in rows:
-            print(
-                f"{r['n']:>8} {r['d']:>4} {r['k']:>4} {r['m']:>9} {r['status']:>16}"
-                f" {r['augmentations']:>9} {r['time_s']:>10.3f} {r['time_per_kmn']:>13.3e}"
-            )
-    return 0
 
 
 def main(argv=None) -> int:

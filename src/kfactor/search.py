@@ -38,34 +38,10 @@ from .subgraph import KLimitedSubgraph, Trail
 
 
 @dataclass(frozen=True)
-class DirectedTrail:
-    """Dart sequence drawn one per layer; chaining is the builder's duty.
-
-    Unlike Trail this container does not validate, because candidate
-    sequences are inspected for violations before being promoted.
-    """
-
-    graph: Graph
-    darts: tuple[int, ...]
-
-    @property
-    def start(self) -> int:
-        return self.graph.dart_tails[self.darts[0]]
-
-    @property
-    def end(self) -> int:
-        return self.graph.dart_heads[self.darts[-1]]
-
-    def as_trail(self) -> Trail:
-        """Forget orientation: an edge-simple directed trail is a trail."""
-        return Trail(self.graph, self.darts)
-
-
-@dataclass(frozen=True)
 class BlossomViolation:
-    """Positions i < j in a directed trail holding opposite darts."""
+    """Positions i < j in a trail holding opposite darts."""
 
-    trail: DirectedTrail
+    trail: Trail
     in_index: int
     out_index: int
 
@@ -229,7 +205,7 @@ def restrict_to_target(l: LayeredDartGraph, v: int, trace=None) -> LayeredDartGr
     return prune(LayeredDartGraph(l.graph, l.start, layers, v), trace)
 
 
-def extract_trail(gv: LayeredDartGraph, trace=None) -> DirectedTrail | None:
+def extract_trail(gv: LayeredDartGraph, trace=None) -> Trail | None:
     """Depth-first extraction of one complete layered directed trail.
 
     Takes the lowest-id admissible dart at each layer, backtracking when a
@@ -272,7 +248,7 @@ def extract_trail(gv: LayeredDartGraph, trace=None) -> DirectedTrail | None:
         path.append(d)
         used.add(d)
         if i == last:
-            found = DirectedTrail(g, tuple(path))
+            found = Trail(g, tuple(path))
             if trace:
                 trace("extracted", *found.darts)
             return found
@@ -280,7 +256,7 @@ def extract_trail(gv: LayeredDartGraph, trace=None) -> DirectedTrail | None:
     return None
 
 
-def find_blossom_violation(p: DirectedTrail) -> BlossomViolation | None:
+def find_blossom_violation(p: Trail) -> BlossomViolation | None:
     """Earliest (by in-dart position) opposite-dart pair, or None if edge-simple."""
     pos = {d: i for i, d in enumerate(p.darts)}
     for i, d in enumerate(p.darts):
@@ -387,16 +363,16 @@ def find_augmenting_trail(
         for v in targets:
             gv = restrict_to_target(built, v, trace)
             while not gv.is_dead():
-                directed = extract_trail(gv, trace)
-                if directed is None:
+                trail = extract_trail(gv, trace)
+                if trail is None:
                     break
                 if counters is not None:
                     counters.extracted += 1
-                violation = find_blossom_violation(directed)
+                violation = find_blossom_violation(trail)
                 if violation is None:
                     if trace:
-                        trace("accepted", *directed.darts)
-                    return directed.as_trail()
+                        trace("accepted", *trail.darts)
+                    return trail
                 if counters is not None:
                     counters.blossoms += 1
                 gv = blossom_operation(gv, violation, trace)

@@ -1,19 +1,23 @@
 """Command-line tests, run in-process through main(argv).
 
-Two subprocess tests at the end check the `kfactor` console script.
+Three subprocess tests at the end check the `kfactor` console script.
 test_console_script_is_installed reads the entry point that pyproject.toml
 declares and runs it through the launcher an installer would write, in a
 fresh interpreter that imports the package under test, so it runs in every
 checkout: `--help` exits 0, and a solve's exit code (0 for a factor, 1 for
-none) reaches the process. test_installed_executable_matches_declaration
-runs only where the `kfactor` distribution is installed: its console-script
-entry point must equal the declaration, and the `kfactor` executable must
-answer `--help`. Everything else uses capsys so the suite stays fast.
+none) reaches the process. test_console_script_refuses_non_utf8_stdin runs
+the same launcher under the C locale and feeds it Latin-1 bytes on stdin,
+which must be refused as they are from a file.
+test_installed_executable_matches_declaration runs only where the `kfactor`
+distribution is installed: its console-script entry point must equal the
+declaration, and the `kfactor` executable must answer `--help`. Everything
+else uses capsys so the suite stays fast.
 """
 
 from __future__ import annotations
 
 import importlib.metadata
+import io
 import json
 import os
 import shutil
@@ -53,7 +57,7 @@ def test_solve_prints_factor_and_exits_0(c6_file, capsys):
 
 
 def test_solve_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", type("S", (), {"read": staticmethod(lambda: C6)})())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(C6.encode())))
     code = main(["solve", "--k", "2"])
     assert code == 0
     assert "0 1" in capsys.readouterr().out
@@ -333,51 +337,6 @@ def test_difftest_exclusive_sources(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def test_bench_table(capsys):
-    code = main(["bench", "--n", "24,48", "--d", "3", "--k", "1", "--seed", "1"])
-    out = capsys.readouterr().out
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 3
-    assert lines[0].split() == ["n", "d", "k", "m", "status", "augment", "time_s", "time/(k*m*n)"]
-    assert lines[1].split()[:4] == ["24", "3", "1", "36"]
-    assert lines[2].split()[:4] == ["48", "3", "1", "72"]
-    assert "factor_found" in lines[1]
-
-
-def test_bench_json_with_repeat(capsys):
-    code = main(["bench", "--n", "16,32", "--d", "3", "--k", "2",
-                 "--seed", "2", "--repeat", "3", "--json"])
-    assert code == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert [r["n"] for r in rows] == [16, 32]
-    for r in rows:
-        assert r["status"] == "factor_found"
-        assert r["augmentations"] == r["k"] * r["n"] // 2
-        assert r["time_s"] >= 0 and r["time_per_kmn"] > 0
-
-
-@pytest.mark.parametrize(
-    "ladder", ["100,50", "100,100", "0,10", "", "a,b"],
-)
-def test_bench_rejects_bad_ladders(ladder, capsys):
-    code = main(["bench", "--n", ladder, "--d", "3", "--k", "1"])
-    assert code == 2
-
-
-def test_bench_rejects_impossible_degree(capsys):
-    code = main(["bench", "--n", "4,8", "--d", "5", "--k", "1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == "error: no simple 5-regular graph on 4 vertices\n"
-    code = main(["bench", "--n", "5,9", "--d", "3", "--k", "1"])
-    assert code == 2
-
-
-# ---------------------------------------------------------------------------
 # parser plumbing
 
 
@@ -385,8 +344,14 @@ def test_no_command_exits_2(capsys):
     assert main([]) == 2
 
 
-def test_unknown_command_exits_2(capsys):
-    assert main(["frobnicate"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [["frobnicate"], ["bench", "--n", "4,8", "--d", "3", "--k", "1"]],
+    ids=["frobnicate", "bench"],
+)
+def test_unknown_command_exits_2(argv, capsys):
+    # bench is not a subcommand: perfbench/run.py is the timing harness
+    assert main(argv) == 2
 
 
 def test_help_exits_0(capsys):
@@ -400,15 +365,18 @@ def _declared_entry_point() -> str:
         return tomllib.load(fh)["project"]["scripts"]["kfactor"]
 
 
-def _run_launcher(args, cwd, stdin=None):
-    """Run the declared entry point as an installer's launcher script would."""
+def _run_launcher(args, cwd, stdin=None, env=None):
+    """Run the declared entry point as an installer's launcher script would.
+
+    A bytes stdin is passed through raw, and the output comes back as bytes.
+    """
     module, attr = _declared_entry_point().split(":")
     launcher = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     package_root = Path(kfactor.__file__).resolve().parents[1]
     return subprocess.run(
         [sys.executable, "-c", launcher, *args],
-        input=stdin, capture_output=True, text=True, timeout=60,
-        cwd=cwd, env={**os.environ, "PYTHONPATH": str(package_root)},
+        input=stdin, capture_output=True, text=not isinstance(stdin, bytes), timeout=60,
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(package_root), **(env or {})},
     )
 
 
@@ -418,6 +386,16 @@ def test_console_script_is_installed(tmp_path):
     assert "differential" in proc.stdout
     assert _run_launcher(["solve", "--k", "2"], tmp_path, stdin=C6).returncode == 0
     assert _run_launcher(["solve", "--k", "2"], tmp_path, stdin=BOWTIE).returncode == 1
+
+
+def test_console_script_refuses_non_utf8_stdin(tmp_path):
+    # the C locale gives sys.stdin a surrogateescape decoder; stdin must
+    # still refuse bytes that are not UTF-8, exactly as --input does
+    latin1 = b"3 1\n0 1\n# caf\xe9\n"
+    proc = _run_launcher(["solve", "--k", "1"], tmp_path, stdin=latin1, env={"LC_ALL": "C"})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: <stdin>: not UTF-8 text (")
+    assert proc.stdout == b""
 
 
 def _kfactor_distribution_missing() -> bool:

@@ -16,11 +16,10 @@ import random
 
 import pytest
 
-from kfactor import Graph, KLimitedSubgraph
+from kfactor import Graph, KLimitedSubgraph, Trail
 from kfactor.oracle import random_gnp
 from kfactor.search import (
     BlossomViolation,
-    DirectedTrail,
     LayeredDartGraph,
     SearchCounters,
     blossom_operation,
@@ -75,17 +74,9 @@ def random_layered(seed: int, count: int, span=(4, 8)):
 # containers
 
 
-def test_directed_trail_endpoints():
-    g = path_graph(4)
-    p = DirectedTrail(g, (0, 2, 4))
-    assert p.start == 0 and p.end == 3
-    t = p.as_trail()
-    assert t.darts == (0, 2, 4)
-
-
 def test_blossom_violation_views():
     g = complete_graph(3)
-    bv = BlossomViolation(DirectedTrail(g, (0, 2, 1)), 0, 2)
+    bv = BlossomViolation(Trail(g, (0, 1)), 0, 1)
     assert bv.in_dart == 0 and bv.out_dart == 1
 
 
@@ -300,13 +291,13 @@ def test_extract_trace_reports_darts():
 
 def test_find_blossom_violation_none_when_edge_simple():
     g = path_graph(4)
-    assert find_blossom_violation(DirectedTrail(g, (0, 2, 4))) is None
+    assert find_blossom_violation(Trail(g, (0, 2, 4))) is None
 
 
 def test_find_blossom_violation_picks_earliest_in_dart():
     g = complete_graph(3)
     # positions 0/3 and 1/2 both hold opposite pairs; earliest in-dart wins
-    bv = find_blossom_violation(DirectedTrail(g, (2, 4, 5, 3)))
+    bv = find_blossom_violation(Trail(g, (2, 5, 4, 3)))
     assert (bv.in_index, bv.out_index) == (0, 3)
     assert bv.in_dart == 2 and bv.out_dart == 3
 
@@ -329,7 +320,7 @@ def test_is_cut_dart_is_pure():
 def test_blossom_operation_rejects_foreign_violation():
     g = complete_graph(3)
     lg = LayeredDartGraph(g, 0, [{0}])
-    bv = BlossomViolation(DirectedTrail(g, (2, 4, 3)), 0, 2)
+    bv = BlossomViolation(Trail(g, (2, 5, 1)), 0, 2)
     with pytest.raises(ValueError, match="does not come from a trail"):
         blossom_operation(lg, bv)
 
