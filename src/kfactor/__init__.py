@@ -19,7 +19,6 @@ from .oracle import (
     enumerate_graphs,
     is_valid_factor,
     random_gnp,
-    random_graph,
     random_regular,
     vertex_pairs,
 )
@@ -48,7 +47,7 @@ from .solver import (
     two_coloring,
     verify_factor,
 )
-from .subgraph import KLimitedSubgraph, Trail, empty_subgraph, parse_factor, serialize_factor
+from .subgraph import KLimitedSubgraph, Trail, parse_factor, serialize_factor
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "dart_edge",
     "KLimitedSubgraph",
     "Trail",
-    "empty_subgraph",
     "serialize_factor",
     "parse_factor",
     "LayeredDartGraph",
@@ -91,7 +89,6 @@ __all__ = [
     "vertex_pairs",
     "random_gnp",
     "random_regular",
-    "random_graph",
     "DEFAULT_EDGE_CAP",
     "DiffConfig",
     "DiffRow",

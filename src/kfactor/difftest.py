@@ -40,7 +40,7 @@ class DiffConfig:
 
     mode is "exhaustive" (all labeled graphs on exactly n vertices) or
     "random" (count instances of the given model drawn from one seeded
-    stream).
+    stream); the oracle always runs with its DEFAULT_EDGE_CAP.
     """
 
     mode: str
@@ -52,7 +52,6 @@ class DiffConfig:
     p: float = 0.5
     d: int = 0
     seed: int = 0
-    oracle_edge_cap: int = DEFAULT_EDGE_CAP
 
 
 @dataclass
@@ -94,7 +93,7 @@ class DiffReport:
             src += f" p={c.p}" if c.model == "gnp" else f" d={c.d}"
             src += f" seed={c.seed}"
         ks = ",".join(str(k) for k in c.k_values)
-        return f"config: {src} k={ks} oracle_edge_cap={c.oracle_edge_cap} out={c.out_dir}"
+        return f"config: {src} k={ks} oracle_edge_cap={DEFAULT_EDGE_CAP} out={c.out_dir}"
 
     def render(self, include_timing: bool = True) -> str:
         lines = ["k-factor differential test report", self._config_line()]
@@ -213,10 +212,10 @@ def run_difftest(config: DiffConfig, solve_fn=compute_k_factor) -> DiffReport:
                 name = _persist_counterexample(out_dir, g, k, "solver_false", error)
                 report.counterexamples.append((name, "solver_false"))
                 continue
-            if g.m > config.oracle_edge_cap:
+            if g.m > DEFAULT_EDGE_CAP:
                 row.oracle_skipped += 1
                 continue
-            oracle_yes = brute_force_k_factor(g, k, config.oracle_edge_cap) is not None
+            oracle_yes = brute_force_k_factor(g, k) is not None
             if oracle_yes and solver_yes:
                 row.agree_yes += 1
             elif not oracle_yes and not solver_yes:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+MAX_VERTICES = 1_000_000  # parse_graph's cap on n: a Graph allocates per vertex
+
 
 class GraphFormatError(ValueError):
     """Malformed edge-list document, with the offending 1-based line number."""
@@ -118,7 +120,8 @@ def parse_graph(text: str) -> Graph:
     "u v" (whitespace-separated decimal, 0 <= u, v < n) follow. Loops,
     duplicate edges, out-of-range vertex ids, malformed lines, and an edge
     count disagreeing with the header are each rejected with a
-    GraphFormatError naming the offending line.
+    GraphFormatError naming the offending line, as is a header n above
+    MAX_VERTICES.
     """
     header: tuple[int, int] | None = None
     n = m = 0
@@ -140,6 +143,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(lineno, f"header fields must be integers, got {raw.strip()!r}") from None
             if n < 0 or m < 0:
                 raise GraphFormatError(lineno, "header counts must be non-negative")
+            if n > MAX_VERTICES:
+                raise GraphFormatError(lineno, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
             header = (n, m)
             continue
         if len(edges) == m:

@@ -163,16 +163,3 @@ def random_regular(n: int, d: int, rng: random.Random) -> Graph:
         if edges is not None:
             return Graph(n, sorted(edges))
 
-
-def random_graph(n: int, model: str, *, p: float | None = None, d: int | None = None, seed: int = 0) -> Graph:
-    """Seeded instance generator: model "gnp" (needs p) or "d_regular" (needs d)."""
-    rng = random.Random(seed)
-    if model == "gnp":
-        if p is None:
-            raise ValueError("gnp model needs p")
-        return random_gnp(n, p, rng)
-    if model == "d_regular":
-        if d is None:
-            raise ValueError("d_regular model needs d")
-        return random_regular(n, d, rng)
-    raise ValueError(f"unknown model {model!r}")

@@ -65,23 +65,19 @@ class SearchCounters:
 class LayeredDartGraph:
     """Dart layers D_0 .. D_L grown from one unfilled start vertex.
 
-    Layers are plain dart-id sets. target stays None until
-    restrict_to_target narrows the terminal layer to one endpoint. A dart
-    may in principle be listed at several depths (synthetic instances in
-    tests do this); the builder itself admits each dart at its earliest
-    depth only.
+    Layers are plain dart-id sets, never mutated once stored here: the
+    functions below build new sets for the layers they change and share
+    the rest with the graph they derive from. A dart may in principle be
+    listed at several depths (synthetic instances in tests do this); the
+    builder itself admits each dart at its earliest depth only.
     """
 
-    __slots__ = ("graph", "start", "layers", "target")
+    __slots__ = ("graph", "start", "layers")
 
-    def __init__(self, graph: Graph, start: int, layers: list[set[int]], target: int | None = None):
+    def __init__(self, graph: Graph, start: int, layers: list[set[int]]):
         self.graph = graph
         self.start = start
         self.layers = layers
-        self.target = target
-
-    def copy(self) -> "LayeredDartGraph":
-        return LayeredDartGraph(self.graph, self.start, [set(s) for s in self.layers], self.target)
 
     def dart_count(self) -> int:
         return sum(len(s) for s in self.layers)
@@ -89,20 +85,9 @@ class LayeredDartGraph:
     def layer_count(self) -> int:
         return len(self.layers)
 
-    def head_set(self, i: int) -> set[int]:
-        heads = self.graph.dart_heads
-        return {heads[d] for d in self.layers[i]}
-
-    def tail_set(self, i: int) -> set[int]:
-        tails = self.graph.dart_tails
-        return {tails[d] for d in self.layers[i]}
-
     def terminal_heads(self) -> set[int]:
-        return self.head_set(len(self.layers) - 1)
-
-    def layer_indices(self, dart: int) -> tuple[int, ...]:
-        """Depths at which a dart is listed (at most one for built graphs)."""
-        return tuple(i for i, s in enumerate(self.layers) if dart in s)
+        heads = self.graph.dart_heads
+        return {heads[d] for d in self.layers[-1]}
 
     def is_dead(self) -> bool:
         """True when no complete start-to-terminal walk can exist."""
@@ -114,9 +99,9 @@ def build_layers(g: Graph, m: KLimitedSubgraph, start: int, trace=None) -> Layer
 
     Returns the layered graph the moment some blue layer's head set holds a
     valid trail endpoint, or None when the expansion exhausts first (an
-    empty next layer, or the layer cap of 2*m darts). Only filled head
-    vertices are extended from, since a trail may pass through filled
-    vertices only.
+    empty next layer). Every layer admits at least one dart not seen
+    before, so there are at most 2*m layers. Only filled head vertices are
+    extended from, since a trail may pass through filled vertices only.
     """
     if m.is_filled(start):
         raise ValueError(f"start vertex {start} is filled")
@@ -135,16 +120,13 @@ def build_layers(g: Graph, m: KLimitedSubgraph, start: int, trace=None) -> Layer
     layers: list[set[int]] = [set(first)]
     if trace:
         trace("layer-built", 0, len(first))
-    cap = 2 * g.m
     while True:
         i = len(layers) - 1
         heads = {heads_by_dart[d] for d in layers[-1]}
         if i % 2 == 0:
             for v in heads:
                 if deg[v] < k and (v != start or deg[v] < k - 1):
-                    return LayeredDartGraph(g, start, layers, None)
-        if len(layers) >= cap:
-            return None
+                    return LayeredDartGraph(g, start, layers)
         want_red = i % 2 == 0
         nxt: list[int] = []
         for v in sorted(heads):
@@ -167,11 +149,11 @@ def build_layers(g: Graph, m: KLimitedSubgraph, start: int, trace=None) -> Layer
 def prune(l: LayeredDartGraph, trace=None) -> LayeredDartGraph:
     """Remove every dart that cannot lie on a complete layered walk.
 
-    Backward dead-head sweep, then forward dead-tail sweep; idempotent.
-    If no complete walk exists, the cascades leave the first (and the
-    terminal) layer empty.
+    Backward dead-head sweep, then forward dead-tail sweep, both into new
+    sets (a one-layer graph shares its set); idempotent. If no complete
+    walk exists, the cascades leave the first (and terminal) layer empty.
     """
-    layers = [set(s) for s in l.layers]
+    layers = list(l.layers)
     heads = l.graph.dart_heads
     tails = l.graph.dart_tails
     last = len(layers) - 1
@@ -181,7 +163,7 @@ def prune(l: LayeredDartGraph, trace=None) -> LayeredDartGraph:
     for i in range(1, last + 1):
         alive = {heads[d] for d in layers[i - 1]}
         layers[i] = {d for d in layers[i] if tails[d] in alive}
-    out = LayeredDartGraph(l.graph, l.start, layers, l.target)
+    out = LayeredDartGraph(l.graph, l.start, layers)
     if trace:
         trace("pruned", l.dart_count(), out.dart_count())
     return out
@@ -197,12 +179,11 @@ def restrict_to_target(l: LayeredDartGraph, v: int, trace=None) -> LayeredDartGr
     kept = {d for d in l.layers[-1] if heads[d] == v}
     if not kept:
         raise ValueError(f"vertex {v} is not in the terminal head set")
-    # sharing the untouched layer sets is fine: prune copies before filtering
-    layers = list(l.layers[:-1])
+    layers = l.layers[:-1]
     layers.append(kept)
     if trace:
         trace("restricted", v)
-    return prune(LayeredDartGraph(l.graph, l.start, layers, v), trace)
+    return prune(LayeredDartGraph(l.graph, l.start, layers), trace)
 
 
 def extract_trail(gv: LayeredDartGraph, trace=None) -> Trail | None:
@@ -266,39 +247,46 @@ def find_blossom_violation(p: Trail) -> BlossomViolation | None:
     return None
 
 
+def _without(gv: LayeredDartGraph, dart: int, layer_index: int, trace=None) -> LayeredDartGraph:
+    """gv less one dart at one depth, pruned; gv itself is left as it is."""
+    layers = list(gv.layers)
+    layers[layer_index] = layers[layer_index] - {dart}
+    return prune(LayeredDartGraph(gv.graph, gv.start, layers), trace)
+
+
 def is_cut_dart(gv: LayeredDartGraph, dart: int, layer_index: int) -> bool:
     """True when deleting the dart (plus pruning) severs all complete walks.
 
-    Pure query: works on a copy and leaves gv untouched.
+    Pure query: gv is left as it is.
     """
     if dart not in gv.layers[layer_index]:
         raise ValueError(f"dart {dart} is not in layer {layer_index}")
-    trial = gv.copy()
-    trial.layers[layer_index].discard(dart)
-    return prune(trial).is_dead()
+    return _without(gv, dart, layer_index).is_dead()
 
 
 def blossom_operation(gv: LayeredDartGraph, bv: BlossomViolation, trace=None) -> LayeredDartGraph:
     """Resolve one opposite-dart violation by deleting a single dart.
 
     The in-dart goes unless it is a cut dart of gv, in which case the
-    out-dart goes instead; the result is re-pruned. The total dart count
-    strictly decreases, which bounds the number of blossom operations per
-    restricted graph.
+    out-dart goes instead; the result is re-pruned. The cut test prunes gv
+    less the in-dart, and when that graph survives it is the result. The
+    total dart count strictly decreases, which bounds the number of
+    blossom operations per restricted graph.
     """
     if len(bv.trail.darts) != len(gv.layers):
         raise ValueError("violation does not come from a trail of this layered graph")
     before = gv.dart_count()
     in_dart, out_dart = bv.in_dart, bv.out_dart
-    if not is_cut_dart(gv, in_dart, bv.in_index):
-        doomed, at = in_dart, bv.in_index
-    else:
-        doomed, at = out_dart, bv.out_index
+    if in_dart not in gv.layers[bv.in_index]:
+        raise ValueError(f"dart {in_dart} is not in layer {bv.in_index}")
+    out = _without(gv, in_dart, bv.in_index)
+    doomed = out_dart if out.is_dead() else in_dart
     if trace:
         trace("blossom", in_dart, out_dart, doomed)
-    out = gv.copy()
-    out.layers[at].discard(doomed)
-    out = prune(out, trace)
+    if doomed == out_dart:
+        out = _without(gv, out_dart, bv.out_index, trace)
+    elif trace:
+        trace("pruned", before - 1, out.dart_count())
     if out.dart_count() >= before:
         raise AssertionError("blossom operation failed to shrink the layer sets")
     return out

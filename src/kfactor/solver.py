@@ -159,14 +159,6 @@ def two_coloring(g: Graph) -> list[int] | None:
     return color
 
 
-def _check_bipartition(g: Graph, colors) -> None:
-    if len(colors) != g.n or any(c not in (0, 1) for c in colors):
-        raise ValueError("bipartition must assign 0 or 1 to every vertex")
-    for u, v in g.endpoints:
-        if colors[u] == colors[v]:
-            raise ValueError(f"bipartition invalid: edge ({u}, {v}) lies inside one part")
-
-
 def _bfs_augmenting_path(
     g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
 ) -> Trail | None:
@@ -223,20 +215,14 @@ def _bfs_augmenting_path(
     return None
 
 
-def compute_bipartite_k_factor(
-    g: Graph, k: int, bipartition=None, trace=None
-) -> SolveOutcome:
+def compute_bipartite_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
     """k-factor solve specialized to bipartite hosts.
 
-    When no bipartition is supplied one is computed; an odd cycle, or a
-    supplied part containing one of its own edges, raises ValueError.
+    Raises ValueError when g has an odd cycle (two_coloring finds none).
     The solve itself is the shared loop with the breadth-first path
-    finder, which checks that every path it returns is vertex-simple.
+    finder, which needs no colouring and checks that every path it
+    returns is vertex-simple.
     """
-    if bipartition is None:
-        bipartition = two_coloring(g)
-        if bipartition is None:
-            raise ValueError("graph is not bipartite")
-    else:
-        _check_bipartition(g, bipartition)
+    if two_coloring(g) is None:
+        raise ValueError("graph is not bipartite")
     return _solve(g, k, _bfs_augmenting_path, trace)

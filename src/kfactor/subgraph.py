@@ -230,11 +230,6 @@ class KLimitedSubgraph:
         return out
 
 
-def empty_subgraph(graph: Graph, k: int) -> KLimitedSubgraph:
-    """The all-blue starting state: no member edges, deficit k*n."""
-    return KLimitedSubgraph(graph, k)
-
-
 def serialize_factor(g: Graph, edges) -> str:
     """One line per member edge "u v", sorted by endpoint pair."""
     pairs = sorted(g.endpoints[e] for e in edges)

@@ -90,6 +90,21 @@ def test_solve_bad_graph_exits_2(tmp_path, capsys):
     assert err == "error: line 2: loop edge at vertex 0\n"
 
 
+@pytest.mark.parametrize("argv", [["solve", "--k", "1"], ["verify", "FACTOR", "--k", "1"]],
+                         ids=["solve", "verify"])
+def test_huge_vertex_count_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 0\n")
+    factor = tmp_path / "factor.txt"
+    factor.write_text("")
+    argv = [str(factor) if a == "FACTOR" else a for a in argv]
+    code = main(argv + ["--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: vertex count 1000000000 exceeds the limit of 1000000\n"
+
+
 def test_solve_missing_file_exits_2(tmp_path, capsys):
     code = main(["solve", "--input", str(tmp_path / "nope.txt"), "--k", "1"])
     assert code == 2

@@ -156,7 +156,7 @@ def test_broken_oracle_is_reported_loudly(tmp_path, monkeypatch):
     # blamed on the solver; the harness must refuse to continue
     import kfactor.difftest as dt
 
-    monkeypatch.setattr(dt, "brute_force_k_factor", lambda g, k, cap: None)
+    monkeypatch.setattr(dt, "brute_force_k_factor", lambda g, k: None)
     cfg = exhaustive_config(tmp_path, n=3, k_values=(2,))  # the triangle says yes
     with pytest.raises(RuntimeError, match="the oracle is broken"):
         run_difftest(cfg, solve_fn=compute_k_factor)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from kfactor import Graph, GraphFormatError, dart_edge, opposite, parse_graph, serialize_graph
+from kfactor.graph import MAX_VERTICES
 
 
 def test_dart_layout_on_a_triangle():
@@ -110,6 +113,21 @@ def test_parse_graph_error_lines(text, line, fragment):
     assert info.value.line == line
     assert fragment in str(info.value)
     assert str(info.value).startswith(f"line {line}:")
+
+
+def test_parse_graph_refuses_huge_vertex_count_before_allocating():
+    # a 13-byte header must not build a million-entry adjacency list
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(f"# huge\n{MAX_VERTICES + 1} 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.line == 2
+    assert f"vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}" in str(info.value)
+    assert peak < 100_000
+    assert MAX_VERTICES == 1_000_000
 
 
 def test_format_error_is_a_value_error():

@@ -19,7 +19,6 @@ from kfactor.oracle import (
     enumerate_graphs,
     is_valid_factor,
     random_gnp,
-    random_graph,
     random_regular,
     vertex_pairs,
 )
@@ -206,23 +205,6 @@ def test_random_regular_rejects_bad_parameters(n, d, msg):
 def test_random_regular_varies_with_seed():
     graphs = {random_regular(12, 3, random.Random(s)).endpoints for s in range(6)}
     assert len(graphs) > 1
-
-
-def test_random_graph_dispatch():
-    g = random_graph(6, "gnp", p=0.5, seed=3)
-    assert g.n == 6
-    assert g.endpoints == random_graph(6, "gnp", p=0.5, seed=3).endpoints
-    r = random_graph(8, "d_regular", d=3, seed=3)
-    assert all(r.degree(v) == 3 for v in range(8))
-
-
-def test_random_graph_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="gnp model needs p"):
-        random_graph(5, "gnp")
-    with pytest.raises(ValueError, match="d_regular model needs d"):
-        random_graph(5, "d_regular")
-    with pytest.raises(ValueError, match="unknown model 'triangle_free'"):
-        random_graph(5, "triangle_free")
 
 
 def test_default_edge_cap_value():

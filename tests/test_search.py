@@ -84,15 +84,10 @@ def test_layered_dart_graph_queries():
     g = path_graph(3)
     lg = LayeredDartGraph(g, 0, [{0}, {2}])
     assert lg.dart_count() == 2 and lg.layer_count() == 2
-    assert lg.head_set(0) == {1} and lg.tail_set(1) == {1}
     assert lg.terminal_heads() == {2}
-    assert lg.layer_indices(0) == (0,) and lg.layer_indices(5) == ()
     assert not lg.is_dead()
     assert LayeredDartGraph(g, 0, [{0}, set()]).is_dead()
     assert LayeredDartGraph(g, 0, []).is_dead()
-    cp = lg.copy()
-    cp.layers[0].discard(0)
-    assert 0 in lg.layers[0]
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +99,7 @@ def test_build_layers_single_layer():
     m = KLimitedSubgraph(g, 2)
     built = build_layers(g, m, 0)
     assert built.layers == [{0, 6}]
-    assert built.start == 0 and built.target is None
+    assert built.start == 0
     assert built.terminal_heads() == {1, 3}
 
 
@@ -163,12 +158,12 @@ def test_build_layers_structure_randomized():
                 assert ((d >> 1) in m.in_m) == (i % 2 == 1)
                 assert d not in seen_all
                 seen_all.add(d)
-            tails = built.tail_set(i)
+            tails = {g.dart_tails[d] for d in layer}
             if i == 0:
                 assert tails == {start}
             else:
                 # deeper layers leave only from filled heads of the previous
-                prev = built.head_set(i - 1)
+                prev = {g.dart_heads[d] for d in layers[i - 1]}
                 assert tails <= {v for v in prev if deg[v] == k}
 
 
@@ -228,7 +223,6 @@ def test_restrict_keeps_exactly_walks_to_target():
         frozen = [sorted(s) for s in built.layers]
         for v in sorted(built.terminal_heads()):
             gv = restrict_to_target(built, v)
-            assert gv.target == v
             want = sorted(w for w in layer_walks(built) if heads[w[-1]] == v)
             assert sorted(layer_walks(gv)) == want
             assert all(heads[d] == v for d in gv.layers[-1])
@@ -273,7 +267,7 @@ def test_extract_none_when_only_walk_repeats_a_dart():
     # the chain 0 -> 1 -> 0 exists but reuses dart 0, so nothing is distinct
     g = path_graph(2)
     lg = LayeredDartGraph(g, 0, [{0}, {1}, {0}])
-    assert lg.layer_indices(0) == (0, 2)
+    assert 0 in lg.layers[0] and 0 in lg.layers[2]
     assert extract_trail(lg) is None
 
 
@@ -440,6 +434,42 @@ def test_closed_trail_found_when_start_degree_allows():
     done = m.apply_trail(trail)
     assert sorted(done.in_m) == [1, 2, 3, 4]
     assert done.deficit == 0
+
+
+def test_layer_sets_are_never_mutated():
+    # derived graphs share their unchanged layer sets with the graph they
+    # come from, so no search step may change a stored set in place
+    def pinned():
+        for edges, members in (
+            ([(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)], [0, 1, 3, 4]),
+            ([(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3)], [0, 1, 4, 5]),
+        ):
+            g = Graph(5, edges)
+            m = KLimitedSubgraph.from_edges(g, 2, members)
+            yield g, m, build_layers(g, m, 4)
+
+    def untouched(fn, l, *args):
+        before = [frozenset(s) for s in l.layers]
+        result = fn(l, *args)
+        assert [frozenset(s) for s in l.layers] == before, fn.__name__
+        return result
+
+    cuts = {True: 0, False: 0}
+    graphs = list(pinned()) + list(random_layered(seed=409, count=80))
+    for g, m, built in graphs:
+        frozen = [frozenset(s) for s in built.layers]
+        untouched(prune, built)
+        for v in sorted(built.terminal_heads()):
+            gv = untouched(restrict_to_target, built, v)
+            while not gv.is_dead():
+                trail = untouched(extract_trail, gv)
+                bv = trail and find_blossom_violation(trail)
+                if not bv:
+                    break
+                cuts[untouched(is_cut_dart, gv, bv.in_dart, bv.in_index)] += 1
+                gv = untouched(blossom_operation, gv, bv)
+        assert [frozenset(s) for s in built.layers] == frozen
+    assert cuts[True] >= 1 and cuts[False] >= 1
 
 
 # ---------------------------------------------------------------------------

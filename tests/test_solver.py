@@ -240,16 +240,6 @@ def test_bipartite_refuses_odd_cycle():
         compute_bipartite_k_factor(cycle_graph(5), 2)
 
 
-def test_bipartite_rejects_bad_supplied_partition():
-    g = cycle_graph(4)
-    with pytest.raises(ValueError, match=r"edge \(0, 1\) lies inside one part"):
-        compute_bipartite_k_factor(g, 2, bipartition=[0, 0, 1, 1])
-    with pytest.raises(ValueError, match="must assign 0 or 1 to every vertex"):
-        compute_bipartite_k_factor(g, 2, bipartition=[0, 1])
-    with pytest.raises(ValueError, match="must assign 0 or 1 to every vertex"):
-        compute_bipartite_k_factor(g, 2, bipartition=[0, 1, 2, 1])
-
-
 def test_bipartite_solves_complete_bipartite_all_k():
     g = complete_bipartite(3, 3)
     for k in (1, 2, 3):
@@ -258,12 +248,6 @@ def test_bipartite_solves_complete_bipartite_all_k():
         ok, report = verify_factor(g, k, out.factor)
         assert ok, report
     assert compute_bipartite_k_factor(g, 3).factor == list(range(9))
-
-
-def test_bipartite_accepts_valid_supplied_partition():
-    out = compute_bipartite_k_factor(cycle_graph(4), 2, bipartition=[0, 1, 0, 1])
-    assert out.status == FACTOR_FOUND
-    assert out.factor == list(range(4))
 
 
 def test_bipartite_path_matching():

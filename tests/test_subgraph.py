@@ -7,7 +7,7 @@ import random
 import pytest
 
 from bruteforce import augmenting_trails, cycle_graph, complete_graph, random_klimited
-from kfactor import Graph, GraphFormatError, KLimitedSubgraph, Trail, empty_subgraph, parse_factor, serialize_factor
+from kfactor import Graph, GraphFormatError, KLimitedSubgraph, Trail, parse_factor, serialize_factor
 
 
 def square():
@@ -52,7 +52,7 @@ def test_trail_rejects_out_of_range_dart():
 
 def test_empty_subgraph_state():
     g = square()
-    m = empty_subgraph(g, 2)
+    m = KLimitedSubgraph(g, 2)
     assert m.deficit == 8
     assert not m.is_k_factor()
     assert m.member_edges() == []
@@ -124,14 +124,14 @@ def test_deficit_parity_matches_k_times_n():
 
 def test_validate_accepts_single_blue_dart():
     g = square()
-    m = empty_subgraph(g, 1)
+    m = KLimitedSubgraph(g, 1)
     ok, why = m.validate_augmenting_trail(Trail(g, (0,)))
     assert ok and why == "ok"
 
 
 def test_validate_rejects_even_length():
     g = square()
-    m = empty_subgraph(g, 1)
+    m = KLimitedSubgraph(g, 1)
     ok, why = m.validate_augmenting_trail(Trail(g, (0, 2)))
     assert not ok and "odd" in why
 
@@ -150,7 +150,7 @@ def test_validate_rejects_wrong_alternation():
     # all three darts blue under M = {edge 1}? dart 2 lies on edge 1 (red)
     ok, why = m.validate_augmenting_trail(Trail(g, (2,)))
     assert not ok and why == "edge at position 0 must be blue"
-    m2 = empty_subgraph(g, 2)
+    m2 = KLimitedSubgraph(g, 2)
     ok, why = m2.validate_augmenting_trail(Trail(g, (0, 2, 4)))
     assert not ok and why == "edge at position 1 must be red"
 
@@ -187,7 +187,7 @@ def test_validate_closed_trail_guard():
 
 def test_validate_foreign_graph_raises():
     g = square()
-    m = empty_subgraph(g, 1)
+    m = KLimitedSubgraph(g, 1)
     other = square()
     with pytest.raises(ValueError, match="different graph"):
         m.validate_augmenting_trail(Trail(other, (0,)))
@@ -223,7 +223,7 @@ def test_apply_trail_toggles_membership():
 
 def test_apply_trail_rejects_invalid():
     g = square()
-    m = empty_subgraph(g, 2)
+    m = KLimitedSubgraph(g, 2)
     with pytest.raises(ValueError, match="not an augmenting trail"):
         m.apply_trail(Trail(g, (0, 2)))
 
