@@ -73,9 +73,10 @@ def main() -> None:
     print()
 
     print("5. apply the trail: memberships along it flip, deficit drops by 2")
-    after = m.apply_trail(second)
-    print(f"   member edges {sorted(after.in_m)}, degrees {list(after.deg)}")
-    print(f"   deficit {m.deficit} -> {after.deficit}: this is a 2-factor")
+    before = m.deficit
+    m.apply_trail(second)
+    print(f"   member edges {sorted(m.in_m)}, degrees {list(m.deg)}")
+    print(f"   deficit {before} -> {m.deficit}: this is a 2-factor")
 
 
 if __name__ == "__main__":

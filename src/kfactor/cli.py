@@ -141,11 +141,12 @@ def _cmd_solve(args) -> int:
                 "trails_examined": outcome.stats.trails_examined,
                 "blossom_operations": outcome.stats.blossom_operations,
                 "elapsed_s": outcome.stats.elapsed_s,
+                "deficit": outcome.stats.deficit,
             },
         }
         if oracle_doc is not None:
             doc["oracle"] = oracle_doc
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
     else:
         if outcome.status == FACTOR_FOUND:
             sys.stdout.write(serialize_factor(g, outcome.factor))

@@ -1,13 +1,15 @@
 """The solve loop, feasibility prechecks, and the bipartite specialization.
 
-Both entry points run one loop, _solve: precheck, then apply augmenting
-trails from the empty subgraph until the deficit hits zero (factor found)
-or the trail finder gives up (no factor). compute_k_factor finds trails
-with the layered search, find_augmenting_trail. compute_bipartite_k_factor
-refuses non-bipartite input and uses _bfs_augmenting_path, a breadth-first
-shortest alternating path search that is sound on bipartite hosts only.
+Both entry points run one loop, _solve: precheck, then augment one
+KLimitedSubgraph in place, starting from the empty subgraph, until the
+deficit hits zero (factor found) or the trail finder gives up (no
+factor). compute_k_factor finds trails with the layered search,
+find_augmenting_trail. compute_bipartite_k_factor refuses non-bipartite
+input and uses _bfs_augmenting_path, a breadth-first shortest
+alternating path search that is sound on bipartite hosts only.
 
-A finder is called as find(g, m, trace, counters). It returns a Trail or
+A finder is called as find(g, m, trace, counters), where m is the loop's
+one working state, which only apply_trail changes. It returns a Trail or
 None, adds its extractions and blossom operations to the SearchCounters,
 and may raise AssertionError on a trail it finds malformed. The loop then
 checks each trail with real raises: apply_trail must accept it (a refusal
@@ -32,10 +34,13 @@ INFEASIBLE_PRECHECK = "infeasible_precheck"
 
 @dataclass
 class SolveStats:
+    """Counts of one solve; deficit is what the loop left (k*n when the precheck refused)."""
+
     augmentations: int = 0
     trails_examined: int = 0
     blossom_operations: int = 0
     elapsed_s: float = 0.0
+    deficit: int = 0
 
 
 @dataclass
@@ -86,6 +91,7 @@ def _solve(g: Graph, k: int, find, trace) -> SolveOutcome:
     stats = SolveStats()
     reason = feasibility_precheck(g, k)
     if reason is not None:
+        stats.deficit = k * g.n
         stats.elapsed_s = time.perf_counter() - t0
         return SolveOutcome(INFEASIBLE_PRECHECK, None, stats, reason)
     counters = SearchCounters()
@@ -96,7 +102,7 @@ def _solve(g: Graph, k: int, find, trace) -> SolveOutcome:
             break
         before = m.deficit
         try:
-            m = m.apply_trail(trail)
+            m.apply_trail(trail)
         except ValueError as exc:
             # the trail finder handed back a non-augmenting trail
             raise AssertionError(str(exc)) from exc
@@ -105,6 +111,7 @@ def _solve(g: Graph, k: int, find, trace) -> SolveOutcome:
         stats.augmentations += 1
     stats.trails_examined = counters.extracted
     stats.blossom_operations = counters.blossoms
+    stats.deficit = m.deficit
     if m.deficit > 0:
         stats.elapsed_s = time.perf_counter() - t0
         return SolveOutcome(NO_FACTOR, None, stats, "trail search exhausted")

@@ -75,10 +75,10 @@ class Trail:
 class KLimitedSubgraph:
     """Spanning subgraph of a host graph with every vertex degree at most k.
 
-    Value semantics: apply_trail returns a new instance and never mutates
-    the receiver, so independent copies may be worked on in parallel. The
-    deficit is cached and maintained incrementally; check_consistency()
-    recomputes everything from the membership set and raises on any drift.
+    apply_trail augments the receiver in place; copy() is the explicit
+    way to branch a state that must survive an augmentation. The deficit
+    is cached and maintained incrementally; check_consistency() recomputes
+    everything from the membership set and raises on any drift.
     """
 
     __slots__ = ("graph", "k", "in_m", "deg", "_deficit")
@@ -194,21 +194,22 @@ class KLimitedSubgraph:
             return False, f"closed trail needs degree(start) < k - 1, got {deg[v0]}"
         return True, "ok"
 
-    def apply_trail(self, trail: Trail) -> "KLimitedSubgraph":
-        """Toggle the trail's edge memberships and return the new subgraph.
+    def apply_trail(self, trail: Trail) -> None:
+        """Toggle the trail's edge memberships in place.
 
-        Refused (ValueError) unless the trail validates; the receiver is
-        never modified. The deficit identity and the degree cap are
-        re-checked after the toggle and raise AssertionError on failure,
-        since a violation here means the augmentation machinery is broken.
+        Refused (ValueError) unless the trail validates; validation runs
+        before anything changes, so a refused trail leaves the receiver as
+        it was. The deficit identity and the degree cap are re-checked
+        after the toggle and raise AssertionError on failure, since a
+        violation here means the augmentation machinery is broken.
         """
         ok, why = self.validate_augmenting_trail(trail)
         if not ok:
             raise ValueError(f"not an augmenting trail: {why}")
-        out = self.copy()
+        before = self._deficit
         endpoints = self.graph.endpoints
-        in_m = out.in_m
-        deg = out.deg
+        in_m = self.in_m
+        deg = self.deg
         for d in trail.darts:
             e = d >> 1
             u, v = endpoints[e]
@@ -220,14 +221,13 @@ class KLimitedSubgraph:
                 in_m.add(e)
                 deg[u] += 1
                 deg[v] += 1
-        out._deficit = self.k * self.graph.n - 2 * len(in_m)
-        if out._deficit != self._deficit - 2:
+        self._deficit = self.k * self.graph.n - 2 * len(in_m)
+        if self._deficit != before - 2:
             raise AssertionError("deficit did not drop by exactly 2")
         k = self.k
         for v in set(trail.vertices()):
             if not 0 <= deg[v] <= k:
                 raise AssertionError(f"degree bound violated at vertex {v}")
-        return out
 
 
 def serialize_factor(g: Graph, edges) -> str:

@@ -121,7 +121,7 @@ def test_criterion_2_deficit_drops_by_two():
             if trail is None:
                 break
             before = m.deficit
-            m = m.apply_trail(trail)
+            m.apply_trail(trail)
             steps += 1
             # recompute the deficit from raw degrees, not the cached value
             raw = k * g.n - sum(m.deg)

@@ -114,15 +114,21 @@ def test_solve_missing_file_exits_2(tmp_path, capsys):
 def test_solve_json_document(c6_file, capsys):
     code = main(["solve", "--input", c6_file, "--k", "2", "--json"])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["status"] == "factor_found"
-    assert (doc["n"], doc["m"], doc["k"]) == (6, 6, 2)
-    # json keeps edge-id order, the text form sorts by endpoint pair
-    assert doc["factor"] == [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]
-    assert doc["reason"] is None
-    assert doc["stats"]["augmentations"] == 6
-    assert doc["stats"]["elapsed_s"] > 0
-    assert "oracle" not in doc
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1, "the document is one line"
+    doc = json.loads(out)
+    assert doc["stats"].pop("elapsed_s") > 0
+    # json keeps edge-id order, the text form sorts by endpoint pair; no
+    # "oracle" key without --oracle-check
+    assert doc == {
+        "status": "factor_found",
+        "k": 2,
+        "n": 6,
+        "m": 6,
+        "factor": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]],
+        "reason": None,
+        "stats": {"augmentations": 6, "trails_examined": 6, "blossom_operations": 0, "deficit": 0},
+    }
 
 
 def test_solve_json_no_factor(tmp_path, capsys):
@@ -134,6 +140,7 @@ def test_solve_json_no_factor(tmp_path, capsys):
     assert doc["status"] == "no_factor"
     assert doc["factor"] is None
     assert doc["reason"] == "trail search exhausted"
+    assert doc["stats"]["deficit"] == 2
 
 
 def test_solve_trace_goes_to_stderr(c6_file, capsys):

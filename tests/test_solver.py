@@ -11,6 +11,7 @@ from kfactor import (
     INFEASIBLE_PRECHECK,
     NO_FACTOR,
     Graph,
+    KLimitedSubgraph,
     SolveOutcome,
     Trail,
     compute_bipartite_k_factor,
@@ -136,6 +137,32 @@ def test_stats_are_populated():
     assert out.stats.trails_examined >= out.stats.augmentations
     assert out.stats.blossom_operations >= 0
     assert out.stats.elapsed_s > 0
+
+
+def test_stats_report_the_deficit_left():
+    assert compute_k_factor(cycle_graph(6), 2).stats.deficit == 0
+    # the bowtie stops one augmentation short: deficit 10 - 2 * 4
+    out = compute_k_factor(bowtie_graph(), 2)
+    assert (out.status, out.stats.augmentations, out.stats.deficit) == (NO_FACTOR, 4, 2)
+    out = compute_k_factor(star_graph(3), 2)
+    assert (out.status, out.stats.deficit) == (INFEASIBLE_PRECHECK, 2 * 4)
+
+
+def circulant_bipartite(half: int, d: int) -> Graph:
+    """d-regular bipartite host: left i joined to right half + (i + j) % half, j < d."""
+    return Graph(2 * half, [(i, half + (i + j) % half) for i in range(half) for j in range(d)])
+
+
+@pytest.mark.parametrize("solve", [compute_k_factor, compute_bipartite_k_factor])
+@pytest.mark.parametrize("g", [cycle_graph(6), circulant_bipartite(8, 4)], ids=["c6", "bip4"])
+def test_solve_never_copies_the_state(solve, g, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the solve loop copied its state")
+    monkeypatch.setattr(KLimitedSubgraph, "copy", refuse)
+    out = solve(g, 2)
+    assert out.status == FACTOR_FOUND
+    assert verify_factor(g, 2, out.factor) == (True, {})
+    assert out.stats.augmentations == g.n
 
 
 def test_outcomes_do_not_share_stats():

@@ -202,7 +202,8 @@ def test_apply_trail_open():
     m = KLimitedSubgraph.from_edges(g, 2, [1])
     # need endpoints unfilled, inner filled: M={1}: deg = 0,1,1,0
     # use trail 1->0 blue? e0 blue: dart 1 is 1->0; single dart: endpoints 1,0 unfilled
-    out = m.apply_trail(Trail(g, (1,)))
+    out = m.copy()
+    assert out.apply_trail(Trail(g, (1,))) is None
     assert out.member_edges() == [0, 1]
     assert out.deficit == m.deficit - 2
     assert m.member_edges() == [1], "receiver must not change"
@@ -215,10 +216,10 @@ def test_apply_trail_toggles_membership():
     # 0->1 blue(e0), 1->2 red(e1), 2->3 blue(e2): endpoints 0,3 deg 0; inner 1,2 deg 1
     # inner must be filled at k=2 -> invalid; use k=1 instead
     m1 = KLimitedSubgraph.from_edges(g, 1, [1])
-    out = m1.apply_trail(Trail(g, (0, 2, 4)))
-    assert out.member_edges() == [0, 2]
-    assert out.deg == [1, 1, 1, 1]
-    out.check_consistency()
+    m1.apply_trail(Trail(g, (0, 2, 4)))
+    assert m1.member_edges() == [0, 2]
+    assert m1.deg == [1, 1, 1, 1]
+    m1.check_consistency()
 
 
 def test_apply_trail_rejects_invalid():
@@ -226,6 +227,25 @@ def test_apply_trail_rejects_invalid():
     m = KLimitedSubgraph(g, 2)
     with pytest.raises(ValueError, match="not an augmenting trail"):
         m.apply_trail(Trail(g, (0, 2)))
+
+
+def test_refused_trail_leaves_receiver_unchanged():
+    g = square()
+    m = KLimitedSubgraph(g, 1)
+    trail = Trail(g, (0,))
+    m.apply_trail(trail)
+    snapshot = (set(m.in_m), list(m.deg), m.deficit)
+    # the same trail again now starts on a red edge
+    with pytest.raises(ValueError, match="position 0 must be blue"):
+        m.apply_trail(trail)
+    assert (m.in_m, m.deg, m.deficit) == snapshot
+    # 3 -> 0 -> 1 -> 3 passes every clause but the last: deg(3) = 1 = k - 1
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (3, 4)])
+    m = KLimitedSubgraph.from_edges(g, 2, [0, 1, 2, 5])
+    snapshot = (set(m.in_m), list(m.deg), m.deficit)
+    with pytest.raises(ValueError, match="closed trail needs"):
+        m.apply_trail(Trail(g, (7, 0, 8)))
+    assert (m.in_m, m.deg, m.deficit) == snapshot
 
 
 def test_apply_random_bruteforce_trails():
@@ -241,7 +261,8 @@ def test_apply_random_bruteforce_trails():
         if m.deficit == 0:
             continue
         for darts in augmenting_trails(g, m)[:8]:
-            out = m.apply_trail(Trail(g, darts))
+            out = m.copy()
+            out.apply_trail(Trail(g, darts))
             assert out.deficit == m.deficit - 2
             out.check_consistency()
             checked += 1
