@@ -9,6 +9,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,7 +30,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parse_args does not change it."""
     parser = argparse.ArgumentParser(prog="kfactor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

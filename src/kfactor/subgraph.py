@@ -79,9 +79,14 @@ class KLimitedSubgraph:
     way to branch a state that must survive an augmentation. The deficit
     is cached and maintained incrementally; check_consistency() recomputes
     everything from the membership set and raises on any drift.
+
+    Degrees never drop: apply_trail raises only the trail's endpoint
+    degrees and leaves every inner degree as it was. So once a vertex is filled it
+    stays filled, and first_unfilled() can advance one cursor lazily
+    instead of rescanning from vertex 0.
     """
 
-    __slots__ = ("graph", "k", "in_m", "deg", "_deficit")
+    __slots__ = ("graph", "k", "in_m", "deg", "_deficit", "_unfilled_from")
 
     def __init__(self, graph: Graph, k: int):
         if k < 1:
@@ -91,6 +96,7 @@ class KLimitedSubgraph:
         self.in_m: set[int] = set()
         self.deg = [0] * graph.n
         self._deficit = k * graph.n
+        self._unfilled_from = 0
 
     @classmethod
     def from_edges(cls, graph: Graph, k: int, edges) -> "KLimitedSubgraph":
@@ -117,6 +123,7 @@ class KLimitedSubgraph:
         out.in_m = set(self.in_m)
         out.deg = list(self.deg)
         out._deficit = self._deficit
+        out._unfilled_from = self._unfilled_from
         return out
 
     @property
@@ -132,6 +139,21 @@ class KLimitedSubgraph:
 
     def is_filled(self, v: int) -> bool:
         return self.deg[v] == self.k
+
+    def first_unfilled(self) -> int:
+        """Lowest vertex with degree below k, or n when every vertex is filled.
+
+        The cursor only moves up, which is sound because degrees never drop;
+        over a whole solve the calls cost O(n) together.
+        """
+        deg = self.deg
+        k = self.k
+        v = self._unfilled_from
+        n = len(deg)
+        while v < n and deg[v] == k:
+            v += 1
+        self._unfilled_from = v
+        return v
 
     def is_k_factor(self) -> bool:
         return self._deficit == 0

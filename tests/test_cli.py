@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import kfactor
+from kfactor import cli
 from kfactor.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -379,6 +380,14 @@ def test_unknown_command_exits_2(argv, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(c6_file, capsys):
+    cli._build_parser.cache_clear()
+    assert main(["solve", "--k", "0"]) == 2
+    assert main(["solve", "--input", c6_file, "--k", "2"]) == 0
+    assert capsys.readouterr().out == "0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def _declared_entry_point() -> str:

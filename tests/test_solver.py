@@ -24,6 +24,7 @@ from kfactor import solver
 from kfactor.oracle import random_gnp
 
 from bruteforce import (
+    augmenting_trails,
     bowtie_graph,
     complete_bipartite,
     complete_graph,
@@ -313,6 +314,26 @@ def test_bipartite_paths_are_vertex_simple():
         darts = e[1:]
         vs = [g.dart_tails[darts[0]]] + [g.dart_heads[d] for d in darts]
         assert len(set(vs)) == len(vs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bipartite_starts_from_least_unfilled_vertex_with_a_trail(k):
+    """Replay every 3+3 bipartite host: each accepted path starts at the least
+    unfilled vertex from which the brute-force enumeration finds a trail."""
+    full = complete_bipartite(3, 3)
+    replayed = 0
+    for bits in range(1 << full.m):
+        g = Graph(6, [full.endpoints[e] for e in range(full.m) if bits >> e & 1])
+        events = []
+        compute_bipartite_k_factor(g, k, trace=lambda *a: events.append(a))
+        m = KLimitedSubgraph(g, k)
+        for event, *darts in events:
+            assert event == "accepted"
+            starts = {g.dart_tails[t[0]] for t in augmenting_trails(g, m)}
+            assert g.dart_tails[darts[0]] == min(starts)
+            m.apply_trail(Trail(g, tuple(darts)))
+            replayed += 1
+    assert replayed >= 3 * k  # K(3,3) alone takes 3k augmentations
 
 
 @pytest.mark.parametrize("solve", [compute_k_factor, compute_bipartite_k_factor])

@@ -270,6 +270,65 @@ def test_apply_random_bruteforce_trails():
 
 
 # ---------------------------------------------------------------------------
+# first_unfilled, the start cursor
+
+
+def least_unfilled(m: KLimitedSubgraph) -> int:
+    return min((v for v in range(m.graph.n) if m.deg[v] < m.k), default=m.graph.n)
+
+
+def test_first_unfilled_tracks_augmentations():
+    """Over random states and the trails applied to them, the cursor is the least
+    unfilled vertex (n when none) and never moves down, however sparsely it is read."""
+    rng = random.Random(414)
+    steps = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+        g = Graph(n, pairs)
+        k = rng.randint(1, 3)
+        m = random_klimited(g, k, rng)
+        last = m.first_unfilled()
+        assert last == least_unfilled(m)
+        while True:
+            trails = augmenting_trails(g, m)
+            if not trails:
+                break
+            m.apply_trail(Trail(g, rng.choice(trails)))
+            steps += 1
+            if rng.random() < 0.5:
+                continue
+            now = m.first_unfilled()
+            assert now == least_unfilled(m)
+            assert now >= last
+            last = now
+        assert m.first_unfilled() == least_unfilled(m)
+    assert steps > 300
+
+
+def test_first_unfilled_copy_carries_the_cursor():
+    g = cycle_graph(6)
+    m = KLimitedSubgraph(g, 1)
+    m.apply_trail(Trail(g, (0,)))  # 0 - 1
+    assert m.first_unfilled() == 2
+    c = m.copy()
+    assert c.first_unfilled() == 2
+    c.apply_trail(Trail(g, (4,)))  # 2 - 3
+    assert c.first_unfilled() == 4
+    assert m.first_unfilled() == 2
+    assert m.deg == [1, 1, 0, 0, 0, 0]
+
+
+def test_first_unfilled_from_edges():
+    g = cycle_graph(6)
+    assert KLimitedSubgraph.from_edges(g, 1, [0, 2]).first_unfilled() == 4
+    assert KLimitedSubgraph.from_edges(g, 1, [1, 3]).first_unfilled() == 0
+    assert KLimitedSubgraph.from_edges(g, 1, [0, 2, 4]).first_unfilled() == 6
+    assert KLimitedSubgraph.from_edges(g, 2, [0, 1]).first_unfilled() == 0
+    assert KLimitedSubgraph(Graph(0, []), 1).first_unfilled() == 0
+
+
+# ---------------------------------------------------------------------------
 # factor documents
 
 
