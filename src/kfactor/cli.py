@@ -161,6 +161,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.factor == "-" and args.input == "-":
+        print("error: the factor and --input cannot both be read from stdin", file=sys.stderr)
+        return 2
     try:
         g = _load_graph(args.input)
         factor_text = _read_text(args.factor)

@@ -9,18 +9,27 @@ input and uses _bfs_augmenting_path, a breadth-first shortest
 alternating path search that is sound on bipartite hosts only.
 
 The bipartite engine takes its starts from KLimitedSubgraph.first_unfilled(),
-a cursor that only moves up because degrees never drop. The layered
+a cursor that only moves up because degrees never drop. While that
+least unfilled vertex has a blue edge to an unfilled vertex, the engine
+takes the one-edge augmentation itself with augment_edge, lowest dart id
+first: that is the path its search would return from there. The layered
 engine still rescans its starts from vertex 0: the same cursor there
 pushed acceptance criterion 6's 500 -> 1000 doubling ratio under its
 2.5 floor.
 
 A finder is called as find(g, m, trace, counters), where m is the loop's
-one working state, which only apply_trail changes. It returns a Trail or
-None, adds its extractions and blossom operations to the SearchCounters,
-and may raise AssertionError on a trail it finds malformed. The loop then
-checks each trail with real raises: apply_trail must accept it (a refusal
-becomes AssertionError), the deficit must drop by exactly 2, and a found
-factor is re-verified k-regular spanning.
+one working state. A finder may change m only through m.augment_edge,
+the checked one-edge augmentation; every other change is the loop's
+apply_trail of a trail the finder returned. It returns the next Trail
+for the loop to apply, or None when it has no more, adds its extractions
+(one per augmentation it finds, in place or returned) and blossom
+operations to the SearchCounters, and may raise AssertionError on a
+trail it finds malformed. The checks are real raises: augment_edge
+refuses an edge that is not a one-edge augmenting trail, apply_trail must
+accept each returned trail (a refusal becomes AssertionError), the
+deficit must drop by exactly 2 on each, and a found factor is re-verified
+k-regular spanning. Every augmentation lowers the deficit by 2, so the
+loop reports (k*n - deficit) / 2 augmentations.
 """
 
 from __future__ import annotations
@@ -114,7 +123,7 @@ def _solve(g: Graph, k: int, find, trace) -> SolveOutcome:
             raise AssertionError(str(exc)) from exc
         if m.deficit != before - 2:
             raise AssertionError("deficit did not drop by exactly 2")
-        stats.augmentations += 1
+    stats.augmentations = (k * g.n - m.deficit) // 2
     stats.trails_examined = counters.extracted
     stats.blossom_operations = counters.blossoms
     stats.deficit = m.deficit
@@ -182,8 +191,13 @@ def _bfs_augmenting_path(
     visited mark per vertex suffices. For the same reason a path never
     closes: it has odd length, so it ends on the side opposite its start.
     Starts are tried in vertex order from m.first_unfilled(), which skips
-    only filled vertices. Each returned path counts as one extraction; one
-    that revisits a vertex raises AssertionError.
+    only filled vertices. While that cursor vertex has a blue dart to an
+    unfilled vertex, the lowest such dart, which is the path the search
+    would return first, is taken in place with m.augment_edge. Later
+    starts get no such shortcut: a start whose search failed is searched
+    again on the next call. Each augmentation, in place or returned,
+    counts as one extraction and is traced as accepted; a path that
+    revisits a vertex raises AssertionError.
     """
     k = m.k
     deg = m.deg
@@ -191,7 +205,20 @@ def _bfs_augmenting_path(
     heads = g.dart_heads
     tails = g.dart_tails
     adjacency = g.adjacency
-    for start in range(m.first_unfilled(), g.n):
+    start = m.first_unfilled()
+    while start < g.n:
+        for d in adjacency[start]:
+            if (d >> 1) not in in_m and deg[heads[d]] < k:
+                break
+        else:
+            break
+        m.augment_edge(d >> 1)
+        if counters is not None:
+            counters.extracted += 1
+        if trace:
+            trace("accepted", d)
+        start = m.first_unfilled()
+    for start in range(start, g.n):
         if deg[start] == k:
             continue
         parent: dict[int, int] = {start: -1}

@@ -75,13 +75,15 @@ class Trail:
 class KLimitedSubgraph:
     """Spanning subgraph of a host graph with every vertex degree at most k.
 
-    apply_trail augments the receiver in place; copy() is the explicit
-    way to branch a state that must survive an augmentation. The deficit
-    is cached and maintained incrementally; check_consistency() recomputes
-    everything from the membership set and raises on any drift.
+    apply_trail augments the receiver in place with any augmenting trail;
+    augment_edge is the same augmentation for a one-edge trail without
+    building a Trail. copy() is the explicit way to branch a state that
+    must survive an augmentation. The deficit is cached and maintained
+    incrementally; check_consistency() recomputes everything from the
+    membership set and raises on any drift.
 
-    Degrees never drop: apply_trail raises only the trail's endpoint
-    degrees and leaves every inner degree as it was. So once a vertex is filled it
+    Degrees never drop: both augmentations raise only the endpoint degrees
+    and leave every inner degree as it was. So once a vertex is filled it
     stays filled, and first_unfilled() can advance one cursor lazily
     instead of rescanning from vertex 0.
     """
@@ -250,6 +252,29 @@ class KLimitedSubgraph:
         for v in set(trail.vertices()):
             if not 0 <= deg[v] <= k:
                 raise AssertionError(f"degree bound violated at vertex {v}")
+
+    def augment_edge(self, e: int) -> None:
+        """Add edge e in place: the augmentation along the one-edge trail e.
+
+        Refused (ValueError), with nothing changed, unless e is a blue edge
+        of the host whose two endpoints are both unfilled; for a one-edge
+        trail those are all the clauses validate_augmenting_trail checks,
+        since the host has no loops. Both endpoint degrees rise by one and
+        the deficit drops by exactly 2.
+        """
+        if not 0 <= e < self.graph.m:
+            raise ValueError(f"unknown edge id {e}")
+        if e in self.in_m:
+            raise ValueError(f"not an augmenting trail: edge {e} is red")
+        u, v = self.graph.endpoints[e]
+        deg = self.deg
+        k = self.k
+        if deg[u] >= k or deg[v] >= k:
+            raise ValueError(f"not an augmenting trail: endpoint {u if deg[u] >= k else v} is filled")
+        self.in_m.add(e)
+        deg[u] += 1
+        deg[v] += 1
+        self._deficit -= 2
 
 
 def serialize_factor(g: Graph, edges) -> str:

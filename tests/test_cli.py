@@ -261,6 +261,18 @@ def test_verify_unknown_edge_exits_2(c6_file, tmp_path, capsys):
     assert err == "error: line 1: unknown edge (0, 3)\n"
 
 
+@pytest.mark.parametrize("argv", [["verify", "-", "--k", "2"], ["verify", "-", "--input", "-", "--k", "2"]],
+                         ids=["default-input", "explicit-input"])
+def test_verify_refuses_factor_and_graph_both_on_stdin(argv, monkeypatch, capsys):
+    # stdin holds one document; reading it twice would verify an empty factor
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"3 3\n0 1\n1 2\n0 2\n")))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: the factor and --input cannot both be read from stdin\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

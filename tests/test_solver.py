@@ -336,6 +336,80 @@ def test_bipartite_starts_from_least_unfilled_vertex_with_a_trail(k):
     assert replayed >= 3 * k  # K(3,3) alone takes 3k augmentations
 
 
+def first_shortest_trail(g: Graph, m: KLimitedSubgraph) -> tuple[int, ...] | None:
+    """The path the bipartite engine must take next, from brute force: of the
+    trails from the least start that has one, a shortest, and of those the
+    least dart sequence. None when no augmenting trail exists."""
+    trails = augmenting_trails(g, m)
+    if not trails:
+        return None
+    start = min(g.dart_tails[t[0]] for t in trails)
+    return min((t for t in trails if g.dart_tails[t[0]] == start), key=lambda t: (len(t), t))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bipartite_takes_the_first_shortest_trail_on_shuffled_4_4_hosts(k):
+    """Sampled 4+4 hosts with shuffled vertex labels and edge ids, so that dart
+    id order differs from head vertex order: every accepted path, in place or
+    returned, is exactly first_shortest_trail, and the solve stops only when no
+    augmenting trail is left."""
+    rng = random.Random(1500 + k)
+    full = complete_bipartite(4, 4)
+    replayed = longer = no_factor = 0
+    for _ in range(40):
+        label = list(range(8))
+        rng.shuffle(label)
+        pairs = [(label[u], label[v]) for u, v in full.endpoints if rng.random() < 0.75]
+        rng.shuffle(pairs)
+        g = Graph(8, pairs)
+        events = []
+        out = compute_bipartite_k_factor(g, k, trace=lambda *a: events.append(a))
+        if out.status == INFEASIBLE_PRECHECK:
+            continue
+        m = KLimitedSubgraph(g, k)
+        for event, *darts in events:
+            assert event == "accepted"
+            assert tuple(darts) == first_shortest_trail(g, m)
+            m.apply_trail(Trail(g, tuple(darts)))
+            replayed += 1
+            longer += len(darts) > 1
+        if out.status == NO_FACTOR:
+            assert first_shortest_trail(g, m) is None
+            no_factor += 1
+        else:
+            assert m.deficit == 0
+    assert replayed >= 40 and longer > 0
+    # at k = 3 a host that passes the precheck misses at most a matching of
+    # K(4,4), which extends to a perfect matching, so a 3-factor always exists
+    assert no_factor > 0 or k == 3
+
+
+def test_augmentation_counts_agree_on_both_engines():
+    """On random hosts, factor or not: 2 * augmentations + deficit = k * n, one
+    accepted event per augmentation, and the bipartite engine extracts exactly
+    the trails it augments along."""
+    rng = random.Random(1515)
+    statuses = set()
+    for i in range(300):
+        k = rng.randint(1, 3)
+        if i % 2:
+            g = random_bipartite(rng.randint(1, 6), rng.randint(1, 6), rng.uniform(0.4, 1.0), rng)
+            engines = [compute_k_factor, compute_bipartite_k_factor]
+        else:
+            g = random_gnp(rng.randint(1, 8), rng.uniform(0.3, 0.9), rng)
+            engines = [compute_k_factor]
+        for solve in engines:
+            events = []
+            out = solve(g, k, trace=lambda *a: events.append(a))
+            stats = out.stats
+            assert 2 * stats.augmentations + stats.deficit == k * g.n
+            assert sum(e[0] == "accepted" for e in events) == stats.augmentations
+            if solve is compute_bipartite_k_factor:
+                assert stats.trails_examined == stats.augmentations
+            statuses.add(out.status)
+    assert statuses == {FACTOR_FOUND, NO_FACTOR, INFEASIBLE_PRECHECK}
+
+
 @pytest.mark.parametrize("solve", [compute_k_factor, compute_bipartite_k_factor])
 def test_solve_loop_refuses_a_bad_trail(solve, monkeypatch):
     # darts 0 and 2 chain 0 -> 1 -> 2 on C4: an even trail, never augmenting

@@ -329,6 +329,74 @@ def test_first_unfilled_from_edges():
 
 
 # ---------------------------------------------------------------------------
+# augment_edge, the one-edge augmentation
+
+
+def state(m: KLimitedSubgraph):
+    return set(m.in_m), list(m.deg), m.deficit, m._unfilled_from
+
+
+@pytest.mark.parametrize(
+    "member, e, fragment",
+    [
+        ([0], 0, "edge 0 is red"),  # 0 - 1 is already in M
+        ([0], 1, "endpoint 1 is filled"),  # 1 - 2: its low end is filled
+        ([0], 3, "endpoint 0 is filled"),  # 0 - 3: its low end is filled
+        ([1], 0, "endpoint 1 is filled"),  # 0 - 1: its high end is filled
+        ([0], 4, "unknown edge id 4"),
+        ([0], -1, "unknown edge id -1"),
+    ],
+)
+def test_augment_edge_refusal_changes_nothing(member, e, fragment):
+    g = square()
+    m = KLimitedSubgraph.from_edges(g, 1, member)
+    m.first_unfilled()  # settle the lazy cursor, so the snapshot holds its value
+    snapshot = state(m)
+    with pytest.raises(ValueError, match=fragment):
+        m.augment_edge(e)
+    assert state(m) == snapshot
+    m.check_consistency()
+
+
+def test_augment_edge_matches_the_one_dart_trail():
+    """Random accepted one-edge augmentations keep the state consistent, equal
+    apply_trail on the one-dart trail, and keep the cursor on the least unfilled
+    vertex; refused ones change nothing."""
+    rng = random.Random(1515)
+    accepted = refused = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+        g = Graph(n, pairs)
+        if g.m == 0:
+            continue
+        k = rng.randint(1, 3)
+        m = random_klimited(g, k, rng) if rng.random() < 0.5 else KLimitedSubgraph(g, k)
+        last = m.first_unfilled()
+        for _ in range(3 * g.m):
+            e = rng.randrange(g.m)
+            u, v = g.endpoints[e]
+            if e in m.in_m or m.deg[u] == k or m.deg[v] == k:
+                snapshot = state(m)
+                with pytest.raises(ValueError, match="not an augmenting trail"):
+                    m.augment_edge(e)
+                assert state(m) == snapshot
+                refused += 1
+                continue
+            twin = m.copy()
+            twin.apply_trail(Trail(g, (2 * e + rng.randint(0, 1),)))
+            m.augment_edge(e)
+            m.check_consistency()
+            assert (m.in_m, m.deg, m.deficit) == (twin.in_m, twin.deg, twin.deficit)
+            now = m.first_unfilled()
+            assert now == least_unfilled(m)
+            assert now >= last
+            last = now
+            accepted += 1
+    assert accepted > 300 and refused > 300
+
+
+# ---------------------------------------------------------------------------
 # factor documents
 
 
