@@ -27,6 +27,15 @@ later, opposite out-dart. The blossom operation deletes the in-dart
 unless doing so would disconnect the start from the target (a cut dart),
 in which case it deletes the out-dart; either way the dart count strictly
 drops, so the extract/repair loop terminates.
+
+A failed search from a start reads the subgraph only at the start and
+at the heads of the darts in its layers: the degree of those vertices
+and the membership of the edges at them. An augmentation changes
+membership only on its trail's edges and degrees only at its ends, so
+while no augmentation touches one of those vertices the same search
+would fail the same way. find_augmenting_trail keeps that read set per
+failed start in the subgraph's dead_starts memo and skips the start
+until KLimitedSubgraph.unchanged_since says the memo no longer holds.
 """
 
 from __future__ import annotations
@@ -94,7 +103,9 @@ class LayeredDartGraph:
         return not self.layers or not self.layers[0] or not self.layers[-1]
 
 
-def build_layers(g: Graph, m: KLimitedSubgraph, start: int, trace=None) -> LayeredDartGraph | None:
+def build_layers(
+    g: Graph, m: KLimitedSubgraph, start: int, trace=None, *, reach: set[int] | None = None
+) -> LayeredDartGraph | None:
     """Grow dart layers from an unfilled start vertex.
 
     Returns the layered graph the moment some blue layer's head set holds a
@@ -102,6 +113,8 @@ def build_layers(g: Graph, m: KLimitedSubgraph, start: int, trace=None) -> Layer
     empty next layer). Every layer admits at least one dart not seen
     before, so there are at most 2*m layers. Only filled head vertices are
     extended from, since a trail may pass through filled vertices only.
+    On None, a given reach set gains every vertex the build read m at:
+    the start and the heads of all darts it admitted.
     """
     if m.is_filled(start):
         raise ValueError(f"start vertex {start} is filled")
@@ -114,6 +127,8 @@ def build_layers(g: Graph, m: KLimitedSubgraph, start: int, trace=None) -> Layer
     seen = bytearray(2 * g.m)
     first = [d for d in adjacency[start] if (d >> 1) not in in_m]
     if not first:
+        if reach is not None:
+            reach.add(start)
         return None
     for d in first:
         seen[d] = 1
@@ -140,10 +155,21 @@ def build_layers(g: Graph, m: KLimitedSubgraph, start: int, trace=None) -> Layer
                 seen[d] = 1
                 nxt.append(d)
         if not nxt:
+            if reach is not None:
+                reach |= _vertices_read(g, start, layers)
             return None
         layers.append(set(nxt))
         if trace:
             trace("layer-built", len(layers) - 1, len(nxt))
+
+
+def _vertices_read(g: Graph, start: int, layers: list[set[int]]) -> set[int]:
+    """The start and the head of every dart in the layers."""
+    heads = g.dart_heads
+    out = {start}
+    for layer in layers:
+        out.update([heads[d] for d in layer])
+    return out
 
 
 def prune(l: LayeredDartGraph, trace=None) -> LayeredDartGraph:
@@ -305,17 +331,32 @@ def find_augmenting_trail(
     Returns the undirected trail of the first success, None after all
     starts and endpoints fail. An optional SearchCounters tallies
     extractions and blossom operations without the cost of a trace.
+
+    A start whose layers could not be built, or whose every restriction
+    died, is memoised in m.dead_starts with the current deficit and the
+    vertices its search read. It is skipped, probe included, for as long
+    as m.unchanged_since holds for that memo: the search would read the
+    same values and fail again. Once an augmentation touches one of those
+    vertices the memo is dropped and the start is searched as before.
+    Skipped starts emit no trace events and add no counts.
     """
-    if m.deficit == 0:
+    deficit = m.deficit
+    if deficit == 0:
         raise ValueError("subgraph has no deficit, nothing to augment")
     k = m.k
     deg = m.deg
     in_m = m.in_m
+    dead = m.dead_starts
     dart_heads = g.dart_heads
     adjacency = g.adjacency
     for start in range(g.n):
         if deg[start] == k:
             continue
+        memo = dead.get(start)
+        if memo is not None:
+            if m.unchanged_since(*memo):
+                continue
+            del dead[start]
         # probe for a one-dart trail first: a blue dart straight to an
         # unfilled neighbour is what restriction, pruning and extraction
         # would deliver from a single-layer graph, at a fraction of the
@@ -341,8 +382,10 @@ def find_augmenting_trail(
             return Trail(g, (best_d,))
         if blue == 0:
             continue
-        built = build_layers(g, m, start, trace)
+        reach: set[int] = set()
+        built = build_layers(g, m, start, trace, reach=reach)
         if built is None:
+            dead[start] = (deficit, reach)
             continue
         heads = built.terminal_heads()
         targets = sorted(v for v in heads if deg[v] < k and v != start)
@@ -364,4 +407,5 @@ def find_augmenting_trail(
                 if counters is not None:
                     counters.blossoms += 1
                 gv = blossom_operation(gv, violation, trace)
+        dead[start] = (deficit, _vertices_read(g, start, built.layers))
     return None

@@ -13,14 +13,18 @@ a cursor that only moves up because degrees never drop. While that
 least unfilled vertex has a blue edge to an unfilled vertex, the engine
 takes the one-edge augmentation itself with augment_edge, lowest dart id
 first: that is the path its search would return from there. The layered
-engine still rescans its starts from vertex 0: the same cursor there
+engine still scans its starts from vertex 0: the same cursor there
 pushed acceptance criterion 6's 500 -> 1000 doubling ratio under its
-2.5 floor.
+2.5 floor. It keeps a memo on the state instead, m.dead_starts, and
+skips a start whose search failed until an augmentation touches a
+vertex that search read, so each "no" from a start is paid for once per
+change to what it saw rather than once per augmentation.
 
 A finder is called as find(g, m, trace, counters), where m is the loop's
-one working state. A finder may change m only through m.augment_edge,
-the checked one-edge augmentation; every other change is the loop's
-apply_trail of a trail the finder returned. It returns the next Trail
+one working state. A finder may change m's edges only through
+m.augment_edge, the checked one-edge augmentation, and may keep its own
+memo in m.dead_starts; every other change is the loop's apply_trail of a
+trail the finder returned. It returns the next Trail
 for the loop to apply, or None when it has no more, adds its extractions
 (one per augmentation it finds, in place or returned) and blossom
 operations to the SearchCounters, and may raise AssertionError on a

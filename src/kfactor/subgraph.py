@@ -86,9 +86,23 @@ class KLimitedSubgraph:
     and leave every inner degree as it was. So once a vertex is filled it
     stays filled, and first_unfilled() can advance one cursor lazily
     instead of rescanning from vertex 0.
+
+    dead_starts is the layered search's memo on this state: start vertex ->
+    (deficit, vertices its failed search read), each entry made at the
+    deficit of the moment. Each vertex carries a change clock for it: the
+    deficit left by the last augmentation that stamped the vertex, or k*n,
+    which no augmentation leaves. An augmentation stamps every vertex of
+    its trail (both ends of an added edge), but only while the memo holds
+    an entry: no other augmentation can make an entry stale, and the
+    bipartite engine, which keeps no memo, pays nothing for the clock.
+    The deficit drops by exactly 2 per augmentation, so
+    unchanged_since(deficit, vertices) tells whether an augmentation since
+    that deficit touched one of the vertices, for the deficit of any entry
+    the memo has held since. copy() carries the clock and starts with an
+    empty memo.
     """
 
-    __slots__ = ("graph", "k", "in_m", "deg", "_deficit", "_unfilled_from")
+    __slots__ = ("graph", "k", "in_m", "deg", "dead_starts", "_deficit", "_unfilled_from", "_changed")
 
     def __init__(self, graph: Graph, k: int):
         if k < 1:
@@ -97,8 +111,10 @@ class KLimitedSubgraph:
         self.k = k
         self.in_m: set[int] = set()
         self.deg = [0] * graph.n
+        self.dead_starts: dict[int, tuple[int, set[int]]] = {}
         self._deficit = k * graph.n
         self._unfilled_from = 0
+        self._changed = [k * graph.n] * graph.n
 
     @classmethod
     def from_edges(cls, graph: Graph, k: int, edges) -> "KLimitedSubgraph":
@@ -124,8 +140,10 @@ class KLimitedSubgraph:
         out.k = self.k
         out.in_m = set(self.in_m)
         out.deg = list(self.deg)
+        out.dead_starts = {}
         out._deficit = self._deficit
         out._unfilled_from = self._unfilled_from
+        out._changed = list(self._changed)
         return out
 
     @property
@@ -157,6 +175,18 @@ class KLimitedSubgraph:
         self._unfilled_from = v
         return v
 
+    def unchanged_since(self, deficit: int, vertices) -> bool:
+        """True when no augmentation since this deficit touched any of the vertices.
+
+        Exact when dead_starts has held an entry ever since the state had
+        this deficit, so that every augmentation made meanwhile stamped.
+        """
+        changed = self._changed
+        for v in vertices:
+            if changed[v] < deficit:
+                return False
+        return True
+
     def is_k_factor(self) -> bool:
         return self._deficit == 0
 
@@ -176,6 +206,8 @@ class KLimitedSubgraph:
             raise AssertionError("degree cap exceeded")
         if self._deficit != self.k * self.graph.n - 2 * len(self.in_m):
             raise AssertionError("cached deficit out of sync with membership")
+        if any(not self._deficit <= c <= self.k * self.graph.n for c in self._changed):
+            raise AssertionError("change clock outside [deficit, k*n]")
 
     def validate_augmenting_trail(self, trail: Trail) -> tuple[bool, str]:
         """Check the augmenting-trail clauses; return (ok, first failed clause).
@@ -225,7 +257,9 @@ class KLimitedSubgraph:
         before anything changes, so a refused trail leaves the receiver as
         it was. The deficit identity and the degree cap are re-checked
         after the toggle and raise AssertionError on failure, since a
-        violation here means the augmentation machinery is broken.
+        violation here means the augmentation machinery is broken. While
+        dead_starts holds an entry, every trail vertex is stamped with the
+        new deficit.
         """
         ok, why = self.validate_augmenting_trail(trail)
         if not ok:
@@ -249,9 +283,14 @@ class KLimitedSubgraph:
         if self._deficit != before - 2:
             raise AssertionError("deficit did not drop by exactly 2")
         k = self.k
-        for v in set(trail.vertices()):
+        touched = set(trail.vertices())
+        for v in touched:
             if not 0 <= deg[v] <= k:
                 raise AssertionError(f"degree bound violated at vertex {v}")
+        if self.dead_starts:
+            changed = self._changed
+            for v in touched:
+                changed[v] = self._deficit
 
     def augment_edge(self, e: int) -> None:
         """Add edge e in place: the augmentation along the one-edge trail e.
@@ -260,7 +299,8 @@ class KLimitedSubgraph:
         of the host whose two endpoints are both unfilled; for a one-edge
         trail those are all the clauses validate_augmenting_trail checks,
         since the host has no loops. Both endpoint degrees rise by one and
-        the deficit drops by exactly 2.
+        the deficit drops by exactly 2; while dead_starts holds an entry,
+        both endpoints are stamped with the new deficit.
         """
         if not 0 <= e < self.graph.m:
             raise ValueError(f"unknown edge id {e}")
@@ -275,6 +315,8 @@ class KLimitedSubgraph:
         deg[u] += 1
         deg[v] += 1
         self._deficit -= 2
+        if self.dead_starts:
+            self._changed[u] = self._changed[v] = self._deficit
 
 
 def serialize_factor(g: Graph, edges) -> str:

@@ -415,9 +415,14 @@ def _run_launcher(args, cwd, stdin=None, env=None):
     """
     module, attr = _declared_entry_point().split(":")
     launcher = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+    return _run_python(["-c", launcher, *args], cwd, stdin, env)
+
+
+def _run_python(python_args, cwd, stdin=None, env=None):
+    """Run this interpreter with the kfactor package importable and nothing installed."""
     package_root = Path(kfactor.__file__).resolve().parents[1]
     return subprocess.run(
-        [sys.executable, "-c", launcher, *args],
+        [sys.executable, *python_args],
         input=stdin, capture_output=True, text=not isinstance(stdin, bytes), timeout=60,
         cwd=cwd, env={**os.environ, "PYTHONPATH": str(package_root), **(env or {})},
     )
@@ -429,6 +434,13 @@ def test_console_script_is_installed(tmp_path):
     assert "differential" in proc.stdout
     assert _run_launcher(["solve", "--k", "2"], tmp_path, stdin=C6).returncode == 0
     assert _run_launcher(["solve", "--k", "2"], tmp_path, stdin=BOWTIE).returncode == 1
+
+
+def test_python_dash_m_kfactor_runs_the_cli(tmp_path):
+    proc = _run_python(["-m", "kfactor", "--help"], tmp_path)
+    assert proc.returncode == 0
+    assert "differential" in proc.stdout
+    assert _run_python(["-m", "kfactor", "solve", "--k", "2"], tmp_path, stdin=C6).returncode == 0
 
 
 def test_console_script_refuses_non_utf8_stdin(tmp_path):

@@ -333,7 +333,7 @@ def test_first_unfilled_from_edges():
 
 
 def state(m: KLimitedSubgraph):
-    return set(m.in_m), list(m.deg), m.deficit, m._unfilled_from
+    return set(m.in_m), list(m.deg), m.deficit, m._unfilled_from, list(m._changed)
 
 
 @pytest.mark.parametrize(
@@ -387,13 +387,168 @@ def test_augment_edge_matches_the_one_dart_trail():
             twin.apply_trail(Trail(g, (2 * e + rng.randint(0, 1),)))
             m.augment_edge(e)
             m.check_consistency()
-            assert (m.in_m, m.deg, m.deficit) == (twin.in_m, twin.deg, twin.deficit)
+            assert (m.in_m, m.deg, m.deficit, m._changed) == (twin.in_m, twin.deg, twin.deficit, twin._changed)
             now = m.first_unfilled()
             assert now == least_unfilled(m)
             assert now >= last
             last = now
             accepted += 1
     assert accepted > 300 and refused > 300
+
+
+# ---------------------------------------------------------------------------
+# the change clock and the dead-start memo
+
+
+def touched_since(m: KLimitedSubgraph, deficit: int) -> set[int]:
+    return {v for v in range(m.graph.n) if m._changed[v] < deficit}
+
+
+def hold_memo(m: KLimitedSubgraph) -> None:
+    """Give m a memo entry, made at its current deficit, so augmentations stamp."""
+    m.dead_starts[m.graph.n] = (m.deficit, set())
+
+
+def test_clock_starts_untouched():
+    g = cycle_graph(6)
+    for m in (KLimitedSubgraph(g, 2), KLimitedSubgraph.from_edges(g, 2, [0, 3])):
+        assert m._changed == [12] * 6
+        assert m.dead_starts == {}
+        assert m.unchanged_since(m.deficit, range(6))
+
+
+def test_apply_trail_stamps_every_vertex_of_an_open_trail():
+    # 0 -> 1 blue, 1 -> 2 red, 2 -> 3 blue on the path 0 - 1 - 2 - 3 - 4 - 5
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    m = KLimitedSubgraph.from_edges(g, 1, [1])
+    before = m.deficit
+    m.dead_starts[4] = (before, {3, 4, 5})
+    m.apply_trail(Trail(g, (0, 2, 4)))
+    assert m.deficit == before - 2
+    assert m._changed == [before - 2] * 4 + [6, 6]
+    assert touched_since(m, before) == {0, 1, 2, 3}
+    assert not m.unchanged_since(*m.dead_starts[4])
+    assert m.unchanged_since(before, [4, 5])
+    assert m.unchanged_since(m.deficit, range(6))
+    m.check_consistency()
+
+
+def test_apply_trail_stamps_every_vertex_of_a_closed_trail():
+    # closed walk at 0: 0 -> 1 blue (e0), 1 -> 2 red (e1), 2 -> 0 blue (e2)
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4), (3, 4), (0, 3)])
+    m = KLimitedSubgraph.from_edges(g, 2, [1, 3, 4])
+    before = m.deficit
+    hold_memo(m)
+    m.apply_trail(Trail(g, (0, 2, 5)))
+    assert touched_since(m, before) == {0, 1, 2}
+    assert m.unchanged_since(before, [3, 4])
+    assert not m.unchanged_since(before, [4, 0])
+    m.check_consistency()
+
+
+def test_augment_edge_stamps_both_endpoints():
+    g = cycle_graph(6)
+    m = KLimitedSubgraph(g, 1)
+    hold_memo(m)
+    m.augment_edge(2)  # 2 - 3
+    assert m._changed == [6, 6, 4, 4, 6, 6]
+    m.augment_edge(4)  # 4 - 5
+    assert m._changed == [6, 6, 4, 4, 2, 2]
+    assert m.unchanged_since(4, [0, 1, 2, 3])
+    assert not m.unchanged_since(4, [5])
+    assert not m.unchanged_since(6, [3])
+    m.check_consistency()
+
+
+def test_no_stamps_without_a_memo_and_later_memos_stay_exact():
+    # with the memo empty no entry can go stale, so nothing is stamped; an
+    # entry made afterwards sees every augmentation from then on
+    g = cycle_graph(6)
+    m = KLimitedSubgraph(g, 1)
+    m.augment_edge(0)  # 0 - 1
+    m.apply_trail(Trail(g, (4,)))  # 2 - 3
+    assert m._changed == [6] * 6
+    m.dead_starts[4] = (m.deficit, {3, 4})
+    assert m.unchanged_since(*m.dead_starts[4])
+    m.augment_edge(4)  # 4 - 5
+    assert not m.unchanged_since(*m.dead_starts[4])
+    assert m._changed == [6, 6, 6, 6, 0, 0]
+    m.check_consistency()
+
+
+def test_refusals_stamp_nothing():
+    g = cycle_graph(6)
+    m = KLimitedSubgraph(g, 1)
+    hold_memo(m)
+    m.augment_edge(0)  # 0 - 1
+    snapshot = state(m)
+    with pytest.raises(ValueError, match="endpoint 1 is filled"):
+        m.augment_edge(1)  # 1 - 2
+    with pytest.raises(ValueError, match="position 0 must be blue"):
+        m.apply_trail(Trail(g, (0,)))
+    with pytest.raises(ValueError, match="endpoint 1 is filled"):
+        m.apply_trail(Trail(g, (3,)))  # 2 -> 1
+    assert state(m) == snapshot
+
+
+def test_copy_carries_the_clock_and_starts_with_an_empty_memo():
+    g = cycle_graph(6)
+    m = KLimitedSubgraph(g, 1)
+    m.dead_starts[0] = (m.deficit, {0, 1, 5})
+    m.augment_edge(2)  # 2 - 3
+    c = m.copy()
+    assert c._changed == m._changed and c._changed is not m._changed
+    assert c.dead_starts == {}
+    hold_memo(c)
+    c.augment_edge(0)  # 0 - 1
+    assert m._changed == [6, 6, 4, 4, 6, 6]
+    assert c._changed == [2, 2, 4, 4, 6, 6]
+    assert m.dead_starts == {0: (6, {0, 1, 5})}
+
+
+def test_check_consistency_catches_a_clock_ahead_of_the_deficit():
+    m = KLimitedSubgraph(cycle_graph(4), 1)
+    hold_memo(m)
+    m.augment_edge(0)
+    m.check_consistency()
+    m._changed[2] = 0
+    with pytest.raises(AssertionError, match="change clock"):
+        m.check_consistency()
+
+
+def test_unchanged_since_tracks_every_augmentation():
+    """Over random solves by both kinds of augmentation, with a memo entry held,
+    unchanged_since(d, S) holds exactly when no augmentation since deficit d
+    touched a vertex of S."""
+    rng = random.Random(1616)
+    checks = 0
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+        g = Graph(n, pairs)
+        k = rng.randint(1, 3)
+        m = random_klimited(g, k, rng) if rng.random() < 0.5 else KLimitedSubgraph(g, k)
+        hold_memo(m)
+        touched = {m.deficit: set()}  # deficit -> vertices touched since
+        while True:
+            trails = augmenting_trails(g, m)
+            if not trails:
+                break
+            darts = rng.choice(trails)
+            if len(darts) == 1 and rng.random() < 0.5:
+                m.augment_edge(darts[0] >> 1)
+            else:
+                m.apply_trail(Trail(g, darts))
+            vertices = set(Trail(g, darts).vertices())
+            for seen in touched.values():
+                seen |= vertices
+            touched[m.deficit] = set()
+            for d, seen in touched.items():
+                some = set(rng.sample(range(n), rng.randint(0, n)))
+                assert m.unchanged_since(d, some) == (not some & seen)
+                checks += 1
+        m.check_consistency()
+    assert checks > 500
 
 
 # ---------------------------------------------------------------------------
