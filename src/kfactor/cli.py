@@ -9,6 +9,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -137,15 +138,9 @@ def _cmd_solve(args) -> int:
             "n": g.n,
             "m": g.m,
             "factor": None if outcome.factor is None
-            else [list(g.endpoints[e]) for e in outcome.factor],
+            else [g.endpoints[e] for e in outcome.factor],
             "reason": outcome.reason,
-            "stats": {
-                "augmentations": outcome.stats.augmentations,
-                "trails_examined": outcome.stats.trails_examined,
-                "blossom_operations": outcome.stats.blossom_operations,
-                "elapsed_s": outcome.stats.elapsed_s,
-                "deficit": outcome.stats.deficit,
-            },
+            "stats": dataclasses.asdict(outcome.stats),
         }
         if oracle_doc is not None:
             doc["oracle"] = oracle_doc

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .graph import Graph, serialize_graph
@@ -66,6 +66,10 @@ class DiffRow:
     oracle_skipped: int = 0
 
 
+# a row's counted fields, instances then the buckets, in report order
+_COUNTS = tuple(f.name for f in fields(DiffRow) if f.name not in ("n", "k"))
+
+
 @dataclass
 class DiffReport:
     config: DiffConfig
@@ -98,19 +102,9 @@ class DiffReport:
     def render(self, include_timing: bool = True) -> str:
         lines = ["k-factor differential test report", self._config_line()]
         for row in sorted(self.rows, key=lambda r: (r.n, r.k)):
-            lines.append(
-                f"n={row.n} k={row.k}: instances={row.instances}"
-                f" agree_yes={row.agree_yes} agree_no={row.agree_no}"
-                f" solver_missed={row.solver_missed} solver_false={row.solver_false}"
-                f" oracle_skipped={row.oracle_skipped}"
-            )
-        lines.append(
-            f"totals: instances={self.total('instances')}"
-            f" agree_yes={self.total('agree_yes')} agree_no={self.total('agree_no')}"
-            f" solver_missed={self.total('solver_missed')}"
-            f" solver_false={self.total('solver_false')}"
-            f" oracle_skipped={self.total('oracle_skipped')}"
-        )
+            counts = " ".join(f"{name}={getattr(row, name)}" for name in _COUNTS)
+            lines.append(f"n={row.n} k={row.k}: {counts}")
+        lines.append("totals: " + " ".join(f"{name}={self.total(name)}" for name in _COUNTS))
         if self.counterexamples:
             lines.append(f"counterexamples ({len(self.counterexamples)}):")
             lines.extend(f"  {kind}  {name}" for name, kind in self.counterexamples)
@@ -124,17 +118,7 @@ class DiffReport:
         return {
             "config": self._config_line(),
             "rows": [vars(row) for row in sorted(self.rows, key=lambda r: (r.n, r.k))],
-            "totals": {
-                name: self.total(name)
-                for name in (
-                    "instances",
-                    "agree_yes",
-                    "agree_no",
-                    "solver_missed",
-                    "solver_false",
-                    "oracle_skipped",
-                )
-            },
+            "totals": {name: self.total(name) for name in _COUNTS},
             "counterexamples": [
                 {"file": name, "kind": kind} for name, kind in self.counterexamples
             ],

@@ -40,6 +40,12 @@ def dart_edge(dart: int) -> int:
 class Graph:
     """Immutable simple undirected graph (no loops, no parallel edges).
 
+    The constructor is the one place that decides whether an edge list is
+    valid. Each edge is checked as it is read, in this order, and the
+    first refused edge raises ValueError: "loop edge at vertex U", then
+    "vertex index X out of range for n = N", then "duplicate edge (A, B)".
+    parse_graph reports the same messages on the refused edge's line.
+
     Attributes:
         n: vertex count.
         m: edge count.
@@ -58,10 +64,11 @@ class Graph:
         endpoints: list[tuple[int, int]] = []
         edge_ids: dict[tuple[int, int], int] = {}
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"loop edge at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                bad = v if 0 <= u < n else u
+                raise ValueError(f"vertex index {bad} out of range for n = {n}")
             pair = (u, v) if u < v else (v, u)
             if pair in edge_ids:
                 raise ValueError(f"duplicate edge {pair}")
@@ -112,64 +119,66 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _data_lines(text: str):
+    """Yield (line number, stripped line) for every line that is not blank or a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield lineno, line
+
+
+def _int_pair(lineno: int, line: str, expected="edge line 'u v'", kind="edge") -> tuple[int, int]:
+    """Read a data line of two whitespace-separated integers, or raise GraphFormatError."""
+    fields = line.split()
+    if len(fields) != 2:
+        raise GraphFormatError(lineno, f"expected {expected}, got {line!r}")
+    try:
+        return int(fields[0]), int(fields[1])
+    except ValueError:
+        raise GraphFormatError(lineno, f"{kind} fields must be integers, got {line!r}") from None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the plain edge-list format into a Graph.
 
     Lines whose first non-blank character is '#' and blank lines are
     skipped. The first data line is the header "n m"; exactly m data lines
-    "u v" (whitespace-separated decimal, 0 <= u, v < n) follow. Loops,
-    duplicate edges, out-of-range vertex ids, malformed lines, and an edge
-    count disagreeing with the header are each rejected with a
-    GraphFormatError naming the offending line, as is a header n above
-    MAX_VERTICES.
+    "u v" (whitespace-separated decimal) follow. This function checks the
+    text: the header (refused above MAX_VERTICES before anything is
+    allocated), the field count and integers of each line, and an edge
+    count disagreeing with the header. Graph checks the edges (loops,
+    out-of-range vertex ids, duplicates) as the lines are read, so every
+    refusal is a GraphFormatError naming the first faulty line.
     """
-    header: tuple[int, int] | None = None
-    n = m = 0
-    edges: list[tuple[int, int]] = []
-    pairs_seen: set[tuple[int, int]] = set()
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise GraphFormatError(lineno, f"expected header 'n m', got {raw.strip()!r}")
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise GraphFormatError(lineno, f"header fields must be integers, got {raw.strip()!r}") from None
-            if n < 0 or m < 0:
-                raise GraphFormatError(lineno, "header counts must be non-negative")
-            if n > MAX_VERTICES:
-                raise GraphFormatError(lineno, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-            header = (n, m)
-            continue
-        if len(edges) == m:
-            raise GraphFormatError(lineno, f"header promised {m} edges, found an extra edge line")
-        if len(fields) != 2:
-            raise GraphFormatError(lineno, f"expected edge line 'u v', got {raw.strip()!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError(lineno, f"edge fields must be integers, got {raw.strip()!r}") from None
-        if u == v:
-            raise GraphFormatError(lineno, f"loop edge at vertex {u}")
-        for x in (u, v):
-            if not 0 <= x < n:
-                raise GraphFormatError(lineno, f"vertex index {x} out of range for n = {n}")
-        pair = (u, v) if u < v else (v, u)
-        if pair in pairs_seen:
-            raise GraphFormatError(lineno, f"duplicate edge ({pair[0]}, {pair[1]})")
-        pairs_seen.add(pair)
-        edges.append(pair)
+    lines = _data_lines(text)
+    header = next(lines, None)
     if header is None:
-        raise GraphFormatError(last_line + 1, "missing 'n m' header")
-    if len(edges) != m:
-        raise GraphFormatError(last_line + 1, f"header promised {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+        raise GraphFormatError(len(text.splitlines()) + 1, "missing 'n m' header")
+    lineno, line = header
+    n, m = _int_pair(lineno, line, "header 'n m'", "header")
+    if n < 0 or m < 0:
+        raise GraphFormatError(lineno, "header counts must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(lineno, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+    def edges():
+        nonlocal lineno
+        count = 0
+        for lineno, line in lines:
+            if count == m:
+                raise GraphFormatError(lineno, f"header promised {m} edges, found an extra edge line")
+            yield _int_pair(lineno, line)
+            count += 1
+        if count != m:
+            end = len(text.splitlines()) + 1
+            raise GraphFormatError(end, f"header promised {m} edges, found {count}")
+
+    try:
+        return Graph(n, edges())
+    except GraphFormatError:
+        raise
+    except ValueError as exc:  # Graph refused the edge on the line last read
+        raise GraphFormatError(lineno, str(exc)) from None
 
 
 def serialize_graph(g: Graph) -> str:

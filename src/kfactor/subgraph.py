@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphFormatError
+from .graph import Graph, GraphFormatError, _data_lines, _int_pair
 
 
 @dataclass(frozen=True)
@@ -151,12 +151,6 @@ class KLimitedSubgraph:
         """Total degree deficit; zero exactly when this is a k-factor."""
         return self._deficit
 
-    def is_member(self, e: int) -> bool:
-        return e in self.in_m
-
-    def dart_is_member(self, dart: int) -> bool:
-        return (dart >> 1) in self.in_m
-
     def is_filled(self, v: int) -> bool:
         return self.deg[v] == self.k
 
@@ -186,9 +180,6 @@ class KLimitedSubgraph:
             if changed[v] < deficit:
                 return False
         return True
-
-    def is_k_factor(self) -> bool:
-        return self._deficit == 0
 
     def member_edges(self) -> list[int]:
         return sorted(self.in_m)
@@ -328,22 +319,16 @@ def serialize_factor(g: Graph, edges) -> str:
 def parse_factor(g: Graph, text: str) -> list[int]:
     """Parse a factor document back into edge ids of g.
 
-    Accepts '#' comments and blank lines. Unknown edges, malformed lines,
-    and repeated edges raise GraphFormatError with the line number.
+    Lines are read as parse_graph reads edge lines: '#' comments and blank
+    lines are skipped, and a line that is not two integers is refused.
+    The rest is checked here, against g: an out-of-range vertex, an edge
+    g does not have and an edge listed twice each raise GraphFormatError
+    with the line number.
     """
     out: list[int] = []
     seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise GraphFormatError(lineno, f"expected edge line 'u v', got {raw.strip()!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError(lineno, f"edge fields must be integers, got {raw.strip()!r}") from None
+    for lineno, line in _data_lines(text):
+        u, v = _int_pair(lineno, line)
         if not (0 <= u < g.n and 0 <= v < g.n):
             raise GraphFormatError(lineno, f"vertex index out of range for n = {g.n}")
         e = g.edge_id(u, v)

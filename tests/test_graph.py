@@ -68,9 +68,10 @@ def test_empty_and_isolated():
     "n, edges, fragment",
     [
         (-1, [], "non-negative"),
-        (3, [(0, 3)], "outside"),
+        (3, [(0, 3)], "out of range"),
         (3, [(1, 1)], "loop"),
         (3, [(0, 1), (1, 0)], "duplicate"),
+        (3, [(5, 5)], "loop edge at vertex 5"),  # the loop test comes before the range test
     ],
 )
 def test_constructor_rejections(n, edges, fragment):
@@ -105,6 +106,10 @@ def test_parse_graph_normalizes_endpoint_order():
         ("3 1\n0 7\n", 2, "vertex index 7 out of range"),
         ("3 2\n0 1\n1 0\n", 3, "duplicate edge (0, 1)"),
         ("3 2\n0 1\n", 3, "promised 2 edges, found 1"),
+        # several faults: the first faulty line is reported, whichever layer refuses it
+        ("3 2\n1 1\n0 x\n", 2, "loop"),
+        ("3 2\n0 x\n1 1\n", 2, "integers"),
+        ("3 2\n0 1\n1 0\n0 5\n", 3, "duplicate"),
     ],
 )
 def test_parse_graph_error_lines(text, line, fragment):
@@ -113,6 +118,63 @@ def test_parse_graph_error_lines(text, line, fragment):
     assert info.value.line == line
     assert fragment in str(info.value)
     assert str(info.value).startswith(f"line {line}:")
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """(n, edges, comment flags): a simple edge list with loops, out-of-range ids and repeats planted."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    edges = [p[::-1] if draw(st.booleans()) else p for p in edges]
+    vertex = st.integers(min_value=-2, max_value=n + 2)
+    for kind in draw(st.lists(st.sampled_from(["loop", "range", "repeat"]), max_size=3)):
+        if kind == "loop":
+            x = draw(vertex)
+            bad = (x, x)
+        elif kind == "range":
+            bad = draw(st.tuples(vertex, vertex))
+        elif edges:
+            bad = draw(st.sampled_from(edges))[:: draw(st.sampled_from([1, -1]))]
+        else:
+            continue
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    comments = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, edges, comments
+
+
+@given(faulty_edge_lists())
+def test_parse_graph_refuses_what_graph_refuses_on_its_line(case):
+    n, edges, comments = case
+    lines = [f"{n} {len(edges)}"]
+    line_of = []
+    for (u, v), comment in zip(edges, comments):
+        if comment:
+            lines.extend(["# note", ""])
+        lines.append(f"{u} {v}")
+        line_of.append(len(lines))
+    text = "\n".join(lines) + "\n"
+    try:
+        g = Graph(n, edges)
+    except ValueError as exc:
+        first_refused = next(i for i in range(len(edges)) if _refuses(n, edges[: i + 1]))
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert info.value.line == line_of[first_refused]
+        assert info.value.reason == str(exc)
+        return
+    h = parse_graph(text)
+    assert (h.n, h.m, h.endpoints, h.adjacency) == (g.n, g.m, g.endpoints, g.adjacency)
+    assert (h.dart_tails, h.dart_heads) == (g.dart_tails, g.dart_heads)
+    assert all(h.edge_id(u, v) == g.edge_id(u, v) for u, v in edges)
+
+
+def _refuses(n, edges):
+    try:
+        Graph(n, edges)
+    except ValueError:
+        return True
+    return False
 
 
 def test_parse_graph_refuses_huge_vertex_count_before_allocating():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from bruteforce import augmenting_trails, cycle_graph, complete_graph, random_klimited
-from kfactor import Graph, GraphFormatError, KLimitedSubgraph, Trail, parse_factor, serialize_factor
+from kfactor import Graph, GraphFormatError, KLimitedSubgraph, Trail, dart_edge, parse_factor, serialize_factor
 
 
 def square():
@@ -54,7 +54,6 @@ def test_empty_subgraph_state():
     g = square()
     m = KLimitedSubgraph(g, 2)
     assert m.deficit == 8
-    assert not m.is_k_factor()
     assert m.member_edges() == []
     assert all(not m.is_filled(v) for v in range(4))
 
@@ -68,8 +67,8 @@ def test_from_edges_and_queries():
     g = square()
     m = KLimitedSubgraph.from_edges(g, 2, [0, 2])
     assert m.deficit == 4
-    assert m.is_member(0) and not m.is_member(1)
-    assert m.dart_is_member(1) and not m.dart_is_member(2)
+    assert 0 in m.in_m and 1 not in m.in_m
+    assert dart_edge(1) in m.in_m and dart_edge(2) not in m.in_m
     assert m.deg == [1, 1, 1, 1]
     assert m.member_edges() == [0, 2]
 

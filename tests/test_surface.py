@@ -4,6 +4,7 @@ Every name in kfactor.__all__ resolves and is listed once. Names and
 settings that were deleted because no caller reached them stay deleted:
 a second constructor name for the empty subgraph, a second random-graph
 dispatch, the layered-graph copy and its unread or test-only members, the
+test-only membership and k-factor queries of KLimitedSubgraph, the
 supplied-bipartition parameter whose colouring was never used, and a
 difftest edge cap that nothing could set.
 """
@@ -32,5 +33,7 @@ def test_removed_names_stay_gone():
     assert not hasattr(solver, "_check_bipartition")
     for attr in ("copy", "target", "head_set", "tail_set", "layer_indices"):
         assert not hasattr(kfactor.LayeredDartGraph, attr), attr
+    for attr in ("is_member", "dart_is_member", "is_k_factor"):
+        assert not hasattr(kfactor.KLimitedSubgraph, attr), attr
     assert "bipartition" not in inspect.signature(kfactor.compute_bipartite_k_factor).parameters
     assert "oracle_edge_cap" not in {f.name for f in dataclasses.fields(kfactor.DiffConfig)}
