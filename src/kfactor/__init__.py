@@ -6,13 +6,15 @@ cycle cover at k = 2). The solver grows a degree-capped subgraph one
 augmenting trail at a time: each trail alternates between non-member and
 member edges, is found with a layered search over darts (oriented half
 edges), and repairs fold-backs through odd cycles with a blossom deletion
-step. A brute-force oracle and a differential-test harness ship alongside
-the solver; `kfactor --help` exposes the solver, the factor checker and the
-harness on the command line.
+step. At k = 1 the trails are augmenting paths from Edmonds' blossom
+search on the graph itself. A brute-force oracle and a differential-test
+harness ship alongside the solver; `kfactor --help` exposes the solver,
+the factor checker and the harness on the command line.
 """
 
 from .difftest import DiffConfig, DiffReport, DiffRow, run_difftest
 from .graph import Graph, GraphFormatError, dart_edge, opposite, parse_graph, serialize_graph
+from .matching import edmonds_augmenting_path
 from .oracle import (
     DEFAULT_EDGE_CAP,
     brute_force_k_factor,
@@ -73,6 +75,7 @@ __all__ = [
     "is_cut_dart",
     "blossom_operation",
     "find_augmenting_trail",
+    "edmonds_augmenting_path",
     "SolveOutcome",
     "SolveStats",
     "FACTOR_FOUND",

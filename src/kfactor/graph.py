@@ -120,11 +120,22 @@ class Graph:
 
 
 def _data_lines(text: str):
-    """Yield (line number, stripped line) for every line that is not blank or a '#' comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """Yield (line number, stripped line) for every line that is not blank or a '#' comment.
+
+    Lines end at '\\n' only; the strip drops a CRLF line's '\\r'.
+    str.splitlines would also end a line at '\\x0b', '\\x0c', '\\x1c' to
+    '\\x1e', '\\x85', '\\u2028' and '\\u2029', and so read edges out of a
+    comment line.
+    """
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line and line[0] != "#":
             yield lineno, line
+
+
+def _end_line(text: str) -> int:
+    """Number of the line after the last one: lines end at '\\n', and a last unterminated line counts."""
+    return text.count("\n") + (1 if not text or text.endswith("\n") else 2)
 
 
 def _int_pair(lineno: int, line: str, expected="edge line 'u v'", kind="edge") -> tuple[int, int]:
@@ -153,7 +164,7 @@ def parse_graph(text: str) -> Graph:
     lines = _data_lines(text)
     header = next(lines, None)
     if header is None:
-        raise GraphFormatError(len(text.splitlines()) + 1, "missing 'n m' header")
+        raise GraphFormatError(_end_line(text), "missing 'n m' header")
     lineno, line = header
     n, m = _int_pair(lineno, line, "header 'n m'", "header")
     if n < 0 or m < 0:
@@ -170,8 +181,7 @@ def parse_graph(text: str) -> Graph:
             yield _int_pair(lineno, line)
             count += 1
         if count != m:
-            end = len(text.splitlines()) + 1
-            raise GraphFormatError(end, f"header promised {m} edges, found {count}")
+            raise GraphFormatError(_end_line(text), f"header promised {m} edges, found {count}")
 
     try:
         return Graph(n, edges())

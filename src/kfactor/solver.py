@@ -3,16 +3,21 @@
 Both entry points run one loop, _solve: precheck, then augment one
 KLimitedSubgraph in place, starting from the empty subgraph, until the
 deficit hits zero (factor found) or the trail finder gives up (no
-factor). compute_k_factor finds trails with the layered search,
-find_augmenting_trail. compute_bipartite_k_factor refuses non-bipartite
-input and uses _bfs_augmenting_path, a breadth-first shortest
-alternating path search that is sound on bipartite hosts only.
+factor). compute_k_factor picks its finder by k alone. At k = 1, where a
+factor is a perfect matching, it is matching.edmonds_augmenting_path,
+Edmonds' blossom search on the host itself, which gives up after the
+first root whose search fails: no perfect matching exists then. For
+k >= 2 it is the layered search, find_augmenting_trail.
+compute_bipartite_k_factor refuses non-bipartite input and uses
+_bfs_augmenting_path, a breadth-first shortest alternating path search
+that is sound on bipartite hosts only.
 
-The bipartite engine takes its starts from KLimitedSubgraph.first_unfilled(),
-a cursor that only moves up because degrees never drop. While that
-least unfilled vertex has a blue edge to an unfilled vertex, the engine
-takes the one-edge augmentation itself with augment_edge, lowest dart id
-first: that is the path its search would return from there. The layered
+The bipartite and blossom engines take their starts from
+KLimitedSubgraph.first_unfilled(), a cursor that only moves up because
+degrees never drop. While that least unfilled vertex has a blue edge to
+an unfilled vertex, both take the one-edge augmentation themselves with
+augment_edge, lowest dart id first (matching.augment_at_cursor): that
+is the path their search would return from there. The layered
 engine still scans its starts from vertex 0: the same cursor there
 pushed acceptance criterion 6's 500 -> 1000 doubling ratio under its
 2.5 floor. It keeps a memo on the state instead, m.dead_starts, and
@@ -43,6 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Graph
+from .matching import augment_at_cursor, edmonds_augmenting_path
 from .search import SearchCounters, find_augmenting_trail
 from .subgraph import KLimitedSubgraph, Trail
 
@@ -100,8 +106,15 @@ def compute_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
     search was exhausted at some state), infeasible_precheck (a necessary
     condition failed before any search). A successful run performs exactly
     k*n/2 augmentations.
+
+    At k = 1 the trails are augmenting paths from Edmonds' blossom search,
+    and every answer is exact. There blossom_operations counts blossom
+    contractions, trails_examined equals augmentations, and trace emits
+    only "accepted" events; on no_factor, deficit and augmentations are
+    those at the first failed search. For k >= 2 the layered search can
+    miss a trail, so a no_factor answer can be wrong.
     """
-    return _solve(g, k, find_augmenting_trail, trace)
+    return _solve(g, k, edmonds_augmenting_path if k == 1 else find_augmenting_trail, trace)
 
 
 def _solve(g: Graph, k: int, find, trace) -> SolveOutcome:
@@ -209,19 +222,7 @@ def _bfs_augmenting_path(
     heads = g.dart_heads
     tails = g.dart_tails
     adjacency = g.adjacency
-    start = m.first_unfilled()
-    while start < g.n:
-        for d in adjacency[start]:
-            if (d >> 1) not in in_m and deg[heads[d]] < k:
-                break
-        else:
-            break
-        m.augment_edge(d >> 1)
-        if counters is not None:
-            counters.extracted += 1
-        if trace:
-            trace("accepted", d)
-        start = m.first_unfilled()
+    start = augment_at_cursor(g, m, trace, counters)
     for start in range(start, g.n):
         if deg[start] == k:
             continue

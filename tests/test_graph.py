@@ -120,6 +120,55 @@ def test_parse_graph_error_lines(text, line, fragment):
     assert str(info.value).startswith(f"line {line}:")
 
 
+# characters str.splitlines ends a line at, besides '\n', '\r' and '\r\n'
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("ch", OTHER_LINE_BREAKS)
+def test_only_newline_ends_a_line(ch):
+    # inside an edge line: one line with four fields, not two edges
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(f"3 2\n0 1{ch}1 2\n")
+    assert info.value.line == 2 and "expected edge line" in str(info.value)
+    # inside a comment line: the text after it is still comment
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(f"3 1\n# c{ch} 0 1\n")
+    assert info.value.line == 3 and "promised 1 edges, found 0" in str(info.value)
+    assert parse_graph(f"3 1\n# c{ch} 0 1\n0 1\n").endpoints == ((0, 1),)
+    # on the line before a fault: the reported line is 1 + the newlines before it
+    for text in (f"# {ch}\n3 1\n0 1\n1 2\n", f"3 1\n#{ch}{ch}\n0 1\n1 1\n", f"3 2\n0 1 {ch}\n1 1\n"):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert info.value.line == text.count("\n", 0, text.rindex("1 ")) + 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", 1),
+        ("\n", 2),
+        ("# c\x85 0 1", 2),
+        ("# c\x0c\n", 2),
+        ("3 2\n0 1\x0c", 3),
+        ("3 2\n0 1\x0c\n", 3),
+        ("3 2\r\n0 1\r\n", 3),
+        ("3 2\r\n0 1", 3),
+    ],
+)
+def test_end_of_file_errors_name_the_line_after_the_last(text, line):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert info.value.line == line
+
+
+def test_crlf_documents_parse():
+    assert parse_graph("# a path\r\n3 2\r\n0 1\r\n\r\n1 2\r\n").endpoints == ((0, 1), (1, 2))
+    assert parse_graph("3 1\r\n2 1").endpoints == ((1, 2),)
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("3 2\r\n0 1\r\n1 1\r\n")
+    assert info.value.line == 3 and "loop" in str(info.value)
+
+
 @st.composite
 def faulty_edge_lists(draw):
     """(n, edges, comment flags): a simple edge list with loops, out-of-range ids and repeats planted."""

@@ -20,8 +20,8 @@ from kfactor import (
     two_coloring,
     verify_factor,
 )
-from kfactor import solver
-from kfactor.oracle import random_gnp
+from kfactor import find_augmenting_trail, solver
+from kfactor.oracle import brute_force_k_factor, enumerate_graphs, random_gnp
 
 from bruteforce import (
     augmenting_trails,
@@ -196,6 +196,21 @@ def test_solver_agrees_with_bruteforce_randomized():
             assert not has_factor(g, k)
         solved += 1
     assert solved == 200
+
+
+def test_layered_engine_agrees_with_bruteforce_at_k1_on_all_5_and_6_vertex_graphs():
+    # compute_k_factor runs the blossom search at k = 1, so the layered
+    # engine is driven through the solve loop here. Every 5-vertex host
+    # fails the precheck (k*n is odd); the 6-vertex hosts reach the search.
+    counts = {FACTOR_FOUND: 0, NO_FACTOR: 0, INFEASIBLE_PRECHECK: 0}
+    for n in (5, 6):
+        for g in enumerate_graphs(n):
+            out = solver._solve(g, 1, find_augmenting_trail, None)
+            counts[out.status] += 1
+            assert (out.status == FACTOR_FOUND) == (brute_force_k_factor(g, 1) is not None)
+            if out.factor is not None:
+                assert verify_factor(g, 1, out.factor) == (True, {})
+    assert min(counts.values()) > 0
 
 
 # ---------------------------------------------------------------------------

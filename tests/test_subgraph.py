@@ -570,6 +570,15 @@ def test_parse_factor_accepts_comments():
     assert parse_factor(g, "# note\n\n0 1\n") == [0]
 
 
+@pytest.mark.parametrize("ch", ["\x0c", "\x85", "\u2028"])
+def test_parse_factor_ends_lines_at_newline_only(ch):
+    g = Graph(4, [(0, 1), (2, 3), (1, 2)])
+    assert parse_factor(g, f"# c{ch}1 2\r\n0 1\r\n2 3\n") == [0, 1]
+    with pytest.raises(GraphFormatError) as info:
+        parse_factor(g, f"0 1\n2 3{ch}1 2\n")
+    assert info.value.line == 2 and "expected" in str(info.value)
+
+
 @pytest.mark.parametrize(
     "text, line, fragment",
     [
