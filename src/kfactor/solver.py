@@ -10,7 +10,8 @@ first root whose search fails: no perfect matching exists then. For
 k >= 2 it is the layered search, find_augmenting_trail.
 compute_bipartite_k_factor refuses non-bipartite input and uses
 _bfs_augmenting_path, a breadth-first shortest alternating path search
-that is sound on bipartite hosts only.
+that is sound on bipartite hosts only. It never hands a trail back: it
+augments m itself until no start has a path, then returns None.
 
 The bipartite and blossom engines take their starts from
 KLimitedSubgraph.first_unfilled(), a cursor that only moves up because
@@ -26,31 +27,31 @@ vertex that search read, so each "no" from a start is paid for once per
 change to what it saw rather than once per augmentation.
 
 A finder is called as find(g, m, trace, counters), where m is the loop's
-one working state. A finder may change m's edges only through
-m.augment_edge, the checked one-edge augmentation, and may keep its own
-memo in m.dead_starts; every other change is the loop's apply_trail of a
-trail the finder returned. It returns the next Trail
-for the loop to apply, or None when it has no more, adds its extractions
-(one per augmentation it finds, in place or returned) and blossom
-operations to the SearchCounters, and may raise AssertionError on a
-trail it finds malformed. The checks are real raises: augment_edge
-refuses an edge that is not a one-edge augmenting trail, apply_trail must
-accept each returned trail (a refusal becomes AssertionError), the
-deficit must drop by exactly 2 on each, and a found factor is re-verified
-k-regular spanning. Every augmentation lowers the deficit by 2, so the
-loop reports (k*n - deficit) / 2 augmentations.
+one working state. A finder may change m's edges only through m's
+checked augmentations (augment_edge, augment_darts), and may keep its
+own memo in m.dead_starts; every other change is the loop's apply_trail
+of a trail the finder returned. It returns the next Trail for the loop
+to apply, or None when it has no more, adds its extractions (one per
+augmentation it finds, in place or returned) and blossom operations to
+the SearchCounters, and may raise AssertionError on a trail it finds
+malformed. The checks are real raises: augment_edge refuses an edge that
+is not a one-edge augmenting trail, augment_darts a dart sequence that
+is not an augmenting trail, and a refusal of a path the bipartite
+finder found or of a trail a finder returned becomes AssertionError;
+the deficit must drop by exactly 2 on each augmentation, and a found
+factor is re-verified k-regular spanning. Every augmentation lowers the
+deficit by 2, so the loop reports (k*n - deficit) / 2 augmentations.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Graph
 from .matching import augment_at_cursor, edmonds_augmenting_path
 from .search import SearchCounters, find_augmenting_trail
-from .subgraph import KLimitedSubgraph, Trail
+from .subgraph import KLimitedSubgraph
 
 FACTOR_FOUND = "factor_found"
 NO_FACTOR = "no_factor"
@@ -181,40 +182,41 @@ def two_coloring(g: Graph) -> list[int] | None:
     """BFS 2-coloring; the color list, or None when an odd cycle exists."""
     color = [-1] * g.n
     heads = g.dart_heads
+    adjacency = g.adjacency
     for root in range(g.n):
         if color[root] != -1:
             continue
         color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for d in g.adjacency[v]:
-                w = heads[d]
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
+        frontier = [root]
+        c = 0
+        while frontier:
+            c ^= 1  # the colour of the frontier's uncoloured neighbours
+            level = []
+            for v in frontier:
+                for d in adjacency[v]:
+                    w = heads[d]
+                    cw = color[w]
+                    if cw == -1:
+                        color[w] = c
+                        level.append(w)
+                    elif cw != c:
+                        return None
+            frontier = level
     return color
 
 
-def _bfs_augmenting_path(
-    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
-) -> Trail | None:
-    """Shortest alternating blue/red path between unfilled vertices.
+def _alternating_path(g: Graph, m: KLimitedSubgraph, start: int) -> list[int] | None:
+    """Darts of a shortest alternating blue/red path from start to an unfilled vertex, or None.
 
-    Sound on bipartite hosts only, where vertex parity along any
-    alternating walk from a fixed start is determined by its side, so one
-    visited mark per vertex suffices. For the same reason a path never
-    closes: it has odd length, so it ends on the side opposite its start.
-    Starts are tried in vertex order from m.first_unfilled(), which skips
-    only filled vertices. While that cursor vertex has a blue dart to an
-    unfilled vertex, the lowest such dart, which is the path the search
-    would return first, is taken in place with m.augment_edge. Later
-    starts get no such shortcut: a start whose search failed is searched
-    again on the next call. Each augmentation, in place or returned,
-    counts as one extraction and is traced as accepted; a path that
-    revisits a vertex raises AssertionError.
+    Breadth first, one depth at a time. Sound on bipartite hosts only,
+    where the parity of a vertex along any alternating walk from start is
+    fixed by its side, so one visited mark per vertex suffices. For the
+    same reason the blue darts of a vertex reached by a red dart can be
+    scanned as soon as it is reached rather than after the whole depth:
+    that scan records only vertices of the other side, which the rest of
+    the red step never looks up. The path found is the one a first-in
+    first-out search over (vertex, colour) pairs returns, expanding
+    vertices in the order they were reached and each vertex's darts by id.
     """
     k = m.k
     deg = m.deg
@@ -222,43 +224,92 @@ def _bfs_augmenting_path(
     heads = g.dart_heads
     tails = g.dart_tails
     adjacency = g.adjacency
-    start = augment_at_cursor(g, m, trace, counters)
-    for start in range(start, g.n):
-        if deg[start] == k:
+    parent = {start: -1}
+    odd = []  # the vertices the last blue step reached, in order
+    for d in adjacency[start]:
+        if (d >> 1) in in_m:
             continue
-        parent: dict[int, int] = {start: -1}
-        queue = deque([(start, True)])
-        while queue:
-            v, want_blue = queue.popleft()
+        w = heads[d]
+        if deg[w] < k:
+            return [d]
+        if w not in parent:
+            parent[w] = d
+            odd.append(w)
+    while odd:
+        level = []
+        for v in odd:
             for d in adjacency[v]:
-                if ((d >> 1) in in_m) == want_blue:
+                # a red step, into filled vertices only
+                if (d >> 1) not in in_m:
                     continue
-                w = heads[d]
-                if want_blue:
+                x = heads[d]
+                if deg[x] != k or x in parent:
+                    continue
+                parent[x] = d
+                # a blue step from x at once
+                for b in adjacency[x]:
+                    if (b >> 1) in in_m:
+                        continue
+                    w = heads[b]
                     if deg[w] < k:
-                        darts = [d]
-                        x = v
+                        darts = [b]
                         while x != start:
                             back = parent[x]
                             darts.append(back)
                             x = tails[back]
                         darts.reverse()
-                        found = Trail(g, tuple(darts))
-                        if len(set(found.vertices())) != len(darts) + 1:
-                            raise AssertionError("bipartite search returned a non-simple path")
-                        if counters is not None:
-                            counters.extracted += 1
-                        if trace:
-                            trace("accepted", *found.darts)
-                        return found
+                        return darts
                     if w not in parent:
-                        parent[w] = d
-                        queue.append((w, False))
-                else:
-                    if deg[w] == k and w not in parent:
-                        parent[w] = d
-                        queue.append((w, True))
+                        parent[w] = b
+                        level.append(w)
+        odd = level
     return None
+
+
+def _bfs_augmenting_path(
+    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+) -> None:
+    """Augment m in place along shortest alternating paths until no start has one; return None.
+
+    Sound on bipartite hosts only (see _alternating_path). For the same
+    reason a path never closes: it has odd length, so it ends on the side
+    opposite its start. Each round first takes the one-edge augmentations
+    at m.first_unfilled() in place (matching.augment_at_cursor), then
+    tries the starts from that cursor in vertex order, skipping filled
+    ones, and takes the first path found: it must be vertex-simple, or
+    AssertionError is raised, and m.augment_darts must accept it, or its
+    refusal is raised as AssertionError. The next round starts again at
+    the cursor, so a start whose search failed is searched again. Each
+    augmentation, in place at the cursor or along a path, counts as one
+    extraction and is traced as accepted.
+    """
+    k = m.k
+    deg = m.deg
+    heads = g.dart_heads
+    tails = g.dart_tails
+    n = g.n
+    while True:
+        cursor = augment_at_cursor(g, m, trace, counters)
+        for start in range(cursor, n):
+            if deg[start] == k:
+                continue
+            darts = _alternating_path(g, m, start)
+            if darts is not None:
+                break
+        else:
+            return None
+        vertices = {heads[d] for d in darts}
+        vertices.add(tails[darts[0]])
+        if len(vertices) != len(darts) + 1:
+            raise AssertionError("bipartite search returned a non-simple path")
+        try:
+            m.augment_darts(darts)
+        except ValueError as exc:
+            raise AssertionError(str(exc)) from exc
+        if counters is not None:
+            counters.extracted += 1
+        if trace:
+            trace("accepted", *darts)
 
 
 def compute_bipartite_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
@@ -266,8 +317,8 @@ def compute_bipartite_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
 
     Raises ValueError when g has an odd cycle (two_coloring finds none).
     The solve itself is the shared loop with the breadth-first path
-    finder, which needs no colouring and checks that every path it
-    returns is vertex-simple.
+    finder, which needs no colouring, checks that every path it takes is
+    vertex-simple and takes all of them in place.
     """
     if two_coloring(g) is None:
         raise ValueError("graph is not bipartite")

@@ -23,6 +23,19 @@ from dataclasses import dataclass
 from .graph import Graph, GraphFormatError, _data_lines, _int_pair
 
 
+def _check_chain(graph: Graph, darts) -> None:
+    """Raise ValueError unless every dart is one of graph's and each chains to the next."""
+    limit = 2 * graph.m
+    for d in darts:
+        if not 0 <= d < limit:
+            raise ValueError(f"dart {d} out of range")
+    heads = graph.dart_heads
+    tails = graph.dart_tails
+    for a, b in zip(darts, darts[1:]):
+        if heads[a] != tails[b]:
+            raise ValueError(f"darts {a} and {b} do not chain")
+
+
 @dataclass(frozen=True)
 class Trail:
     """A chained dart sequence; the undirected trail object.
@@ -38,15 +51,7 @@ class Trail:
     darts: tuple[int, ...]
 
     def __post_init__(self):
-        limit = 2 * self.graph.m
-        for d in self.darts:
-            if not 0 <= d < limit:
-                raise ValueError(f"dart {d} out of range")
-        heads = self.graph.dart_heads
-        tails = self.graph.dart_tails
-        for a, b in zip(self.darts, self.darts[1:]):
-            if heads[a] != tails[b]:
-                raise ValueError(f"darts {a} and {b} do not chain")
+        _check_chain(self.graph, self.darts)
 
     def __len__(self) -> int:
         return len(self.darts)
@@ -75,15 +80,16 @@ class Trail:
 class KLimitedSubgraph:
     """Spanning subgraph of a host graph with every vertex degree at most k.
 
-    apply_trail augments the receiver in place with any augmenting trail;
-    augment_edge is the same augmentation for a one-edge trail without
-    building a Trail. copy() is the explicit way to branch a state that
-    must survive an augmentation. The deficit is cached and maintained
-    incrementally; check_consistency() recomputes everything from the
-    membership set and raises on any drift.
+    augment_darts augments the receiver in place along any dart sequence
+    that is an augmenting trail, and refuses every other with nothing
+    changed; apply_trail is the same for a Trail, and augment_edge for a
+    one-edge trail given by its edge id. copy() is the explicit way to
+    branch a state that must survive an augmentation. The deficit is
+    cached and maintained incrementally; check_consistency() recomputes
+    everything from the membership set and raises on any drift.
 
-    Degrees never drop: both augmentations raise only the endpoint degrees
-    and leave every inner degree as it was. So once a vertex is filled it
+    Degrees never drop: an augmentation raises only the endpoint degrees
+    and leaves every inner degree as it was. So once a vertex is filled it
     stays filled, and first_unfilled() can advance one cursor lazily
     instead of rescanning from vertex 0.
 
@@ -209,57 +215,73 @@ class KLimitedSubgraph:
         """
         if trail.graph is not self.graph:
             raise ValueError("trail darts belong to a different graph")
-        darts = trail.darts
+        why = self._failed_clause(trail.darts)
+        return (True, "ok") if why is None else (False, why)
+
+    def _failed_clause(self, darts) -> str | None:
+        """First augmenting-trail clause a chained dart sequence fails, or None."""
         if len(darts) % 2 == 0:
-            return False, "trail length must be odd"
+            return "trail length must be odd"
         seen_edges: set[int] = set()
         for d in darts:
             e = d >> 1
             if e in seen_edges:
                 u, v = self.graph.endpoints[e]
-                return False, f"edge ({u}, {v}) is used twice"
+                return f"edge ({u}, {v}) is used twice"
             seen_edges.add(e)
         in_m = self.in_m
         for i, d in enumerate(darts):
             if ((d >> 1) in in_m) != (i % 2 == 1):
                 want = "red" if i % 2 == 1 else "blue"
-                return False, f"edge at position {i} must be {want}"
+                return f"edge at position {i} must be {want}"
         tails = self.graph.dart_tails
         k = self.k
         deg = self.deg
         for i in range(1, len(darts)):
             v = tails[darts[i]]
             if deg[v] != k:
-                return False, f"inner vertex {v} is unfilled"
-        v0 = trail.start
-        v_end = trail.end
+                return f"inner vertex {v} is unfilled"
+        v0 = tails[darts[0]]
+        v_end = self.graph.dart_heads[darts[-1]]
         if deg[v0] == k:
-            return False, f"endpoint {v0} is filled"
+            return f"endpoint {v0} is filled"
         if deg[v_end] == k:
-            return False, f"endpoint {v_end} is filled"
+            return f"endpoint {v_end} is filled"
         if v0 == v_end and deg[v0] >= k - 1:
-            return False, f"closed trail needs degree(start) < k - 1, got {deg[v0]}"
-        return True, "ok"
+            return f"closed trail needs degree(start) < k - 1, got {deg[v0]}"
+        return None
 
     def apply_trail(self, trail: Trail) -> None:
-        """Toggle the trail's edge memberships in place.
+        """Toggle the trail's edge memberships in place: augment_darts on its darts.
 
-        Refused (ValueError) unless the trail validates; validation runs
-        before anything changes, so a refused trail leaves the receiver as
-        it was. The deficit identity and the degree cap are re-checked
-        after the toggle and raise AssertionError on failure, since a
-        violation here means the augmentation machinery is broken. While
-        dead_starts holds an entry, every trail vertex is stamped with the
-        new deficit.
+        A trail of another host graph is refused with ValueError too.
         """
-        ok, why = self.validate_augmenting_trail(trail)
-        if not ok:
+        if trail.graph is not self.graph:
+            raise ValueError("trail darts belong to a different graph")
+        self.augment_darts(trail.darts)
+
+    def augment_darts(self, darts) -> None:
+        """Augment in place along a dart sequence of this host.
+
+        Refused (ValueError), with nothing changed, unless every dart is in
+        range and each chains to the next (the checks Trail makes), and the
+        sequence passes every clause of validate_augmenting_trail
+        ("not an augmenting trail: <clause>"). The deficit identity and the
+        degree cap are re-checked after the toggle and raise AssertionError
+        on failure, since a violation here means the augmentation machinery
+        is broken. While dead_starts holds an entry, every vertex of the
+        trail is stamped with the new deficit.
+        """
+        graph = self.graph
+        _check_chain(graph, darts)
+        why = self._failed_clause(darts)
+        if why is not None:
             raise ValueError(f"not an augmenting trail: {why}")
         before = self._deficit
-        endpoints = self.graph.endpoints
+        endpoints = graph.endpoints
         in_m = self.in_m
         deg = self.deg
-        for d in trail.darts:
+        for d in darts:
             e = d >> 1
             u, v = endpoints[e]
             if e in in_m:
@@ -270,11 +292,12 @@ class KLimitedSubgraph:
                 in_m.add(e)
                 deg[u] += 1
                 deg[v] += 1
-        self._deficit = self.k * self.graph.n - 2 * len(in_m)
+        self._deficit = self.k * graph.n - 2 * len(in_m)
         if self._deficit != before - 2:
             raise AssertionError("deficit did not drop by exactly 2")
         k = self.k
-        touched = set(trail.vertices())
+        touched = {graph.dart_heads[d] for d in darts}
+        touched.add(graph.dart_tails[darts[0]])
         for v in touched:
             if not 0 <= deg[v] <= k:
                 raise AssertionError(f"degree bound violated at vertex {v}")
@@ -330,7 +353,8 @@ def parse_factor(g: Graph, text: str) -> list[int]:
     for lineno, line in _data_lines(text):
         u, v = _int_pair(lineno, line)
         if not (0 <= u < g.n and 0 <= v < g.n):
-            raise GraphFormatError(lineno, f"vertex index out of range for n = {g.n}")
+            bad = v if 0 <= u < g.n else u
+            raise GraphFormatError(lineno, f"vertex index {bad} out of range for n = {g.n}")
         e = g.edge_id(u, v)
         if e is None:
             raise GraphFormatError(lineno, f"unknown edge ({u}, {v})")

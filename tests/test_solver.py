@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -32,6 +33,7 @@ from bruteforce import (
     has_factor,
     path_graph,
     petersen_graph,
+    random_klimited,
     star_graph,
 )
 
@@ -268,6 +270,43 @@ def test_two_coloring_covers_components_and_isolates():
         assert colors[u] != colors[v]
 
 
+def reference_two_coloring(g: Graph) -> list[int] | None:
+    """The first-in first-out queue form of two_coloring."""
+    color = [-1] * g.n
+    for root in range(g.n):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for d in g.adjacency[v]:
+                w = g.dart_heads[d]
+                if color[w] == -1:
+                    color[w] = color[v] ^ 1
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return color
+
+
+def test_two_coloring_matches_the_queue_form():
+    rng = random.Random(2021)
+    bipartite = 0
+    for _ in range(400):
+        if rng.random() < 0.5:
+            g = random_bipartite(rng.randint(0, 7), rng.randint(0, 7), rng.uniform(0.1, 0.8), rng)
+            label = list(range(g.n))
+            rng.shuffle(label)
+            g = Graph(g.n, [(label[u], label[v]) for u, v in g.endpoints])
+        else:
+            g = random_gnp(rng.randint(0, 10), rng.uniform(0.05, 0.5), rng)
+        want = reference_two_coloring(g)
+        assert two_coloring(g) == want
+        bipartite += want is not None
+    assert 100 < bipartite < 400
+
+
 def test_two_coloring_complete_bipartite_sides():
     colors = two_coloring(complete_bipartite(3, 4))
     assert len(set(colors[:3])) == 1 and len(set(colors[3:])) == 1
@@ -433,6 +472,87 @@ def test_solve_loop_refuses_a_bad_trail(solve, monkeypatch):
     monkeypatch.setattr(solver, "_bfs_augmenting_path", bad)
     with pytest.raises(AssertionError, match="trail length must be odd"):
         solve(cycle_graph(4), 2)
+
+
+def reference_alternating_path(g: Graph, m: KLimitedSubgraph, start: int) -> list[int] | None:
+    """The first-in first-out queue form of solver._alternating_path."""
+    parent = {start: -1}
+    queue = deque([(start, True)])
+    while queue:
+        v, want_blue = queue.popleft()
+        for d in g.adjacency[v]:
+            if ((d >> 1) in m.in_m) == want_blue:
+                continue
+            w = g.dart_heads[d]
+            if want_blue:
+                if m.deg[w] < m.k:
+                    darts = [d]
+                    while v != start:
+                        darts.append(parent[v])
+                        v = g.dart_tails[parent[v]]
+                    return darts[::-1]
+                if w not in parent:
+                    parent[w] = d
+                    queue.append((w, False))
+            elif m.deg[w] == m.k and w not in parent:
+                parent[w] = d
+                queue.append((w, True))
+    return None
+
+
+def test_alternating_path_matches_the_queue_form():
+    """On random states of shuffled bipartite hosts, from every unfilled start,
+    the search returns what the queue form returns."""
+    rng = random.Random(2022)
+    lengths = {}
+    for _ in range(600):
+        g = random_bipartite(rng.randint(4, 20), rng.randint(4, 20), rng.uniform(0.1, 0.4), rng)
+        label = list(range(g.n))
+        rng.shuffle(label)
+        pairs = [(label[u], label[v]) for u, v in g.endpoints]
+        rng.shuffle(pairs)
+        g = Graph(g.n, pairs)
+        k = rng.randint(1, 3)
+        m = random_klimited(g, k, rng)
+        if rng.random() < 0.5:  # fill it up to a maximal state, where paths are longer
+            for e in rng.sample(range(g.m), g.m):
+                u, v = g.endpoints[e]
+                if e not in m.in_m and m.deg[u] < k and m.deg[v] < k:
+                    m.augment_edge(e)
+        for start in range(g.n):
+            if m.deg[start] < k:
+                path = solver._alternating_path(g, m, start)
+                assert path == reference_alternating_path(g, m, start)
+                size = len(path) if path else 0
+                lengths[size] = lengths.get(size, 0) + 1
+    # 0 stands for None
+    assert lengths[0] > 1000 and lengths[1] > 500 and lengths[3] > 500 and lengths[5] > 80 and lengths[7] > 10
+
+
+def test_bipartite_refused_path_raises_assertion(monkeypatch):
+    """A path the bipartite engine takes is checked by augment_darts, and a
+    refusal surfaces as AssertionError, not as the primitive's ValueError."""
+    # b = 0, c = 1, a = 2, d = 3 on the path a - b - c - d: the cursor takes
+    # b - c, after which vertex 2 has no one-edge augmentation and is searched
+    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    starts = []
+
+    def even_path(g, m, start):
+        starts.append(start)
+        return [3, 0]  # 2 -> 0 -> 1: vertex-simple, but of even length
+
+    monkeypatch.setattr(solver, "_alternating_path", even_path)
+    with pytest.raises(AssertionError, match="not an augmenting trail: trail length must be odd"):
+        compute_bipartite_k_factor(g, 1)
+    assert starts == [2]
+
+
+def test_bipartite_engine_refuses_a_non_simple_path(monkeypatch):
+    # 2 -> 0 -> 1 -> 0 revisits vertex 0 (and edge 0)
+    monkeypatch.setattr(solver, "_alternating_path", lambda g, m, start: [3, 0, 1])
+    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    with pytest.raises(AssertionError, match="non-simple path"):
+        compute_bipartite_k_factor(g, 1)
 
 
 def test_bipartite_agrees_with_general_solver_randomized():

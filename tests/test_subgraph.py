@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from bruteforce import augmenting_trails, cycle_graph, complete_graph, random_klimited
+from bruteforce import augmenting_trails, cycle_graph, complete_graph, planted_state, random_klimited
 from kfactor import Graph, GraphFormatError, KLimitedSubgraph, Trail, dart_edge, parse_factor, serialize_factor
 
 
@@ -551,6 +551,107 @@ def test_unchanged_since_tracks_every_augmentation():
 
 
 # ---------------------------------------------------------------------------
+# augment_darts, the checked augmentation along a dart sequence
+
+CLOSED = Graph(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4), (3, 4), (0, 3)])
+
+
+@pytest.mark.parametrize(
+    "g, k, member, darts",
+    [
+        (square(), 1, [], ()),  # empty: even length
+        (square(), 1, [], (0, 2)),  # 0 -> 1 -> 2: even length
+        (square(), 2, [0], (0, 2, 3)),  # edge (1, 2) twice
+        (square(), 2, [1], (2,)),  # red at position 0
+        (square(), 2, [], (0, 2, 4)),  # blue at position 1
+        (square(), 2, [1], (0, 2, 4)),  # inner vertex 1 unfilled
+        (square(), 1, [1], (0,)),  # endpoint 1 filled
+        (CLOSED, 2, [1, 3, 4, 6], (0, 2, 5)),  # closed, deg(0) = k - 1
+    ],
+)
+def test_augment_darts_refuses_each_clause_as_validate_does(g, k, member, darts):
+    m = KLimitedSubgraph.from_edges(g, k, member)
+    ok, why = m.validate_augmenting_trail(Trail(g, darts))
+    assert not ok
+    hold_memo(m)
+    m.first_unfilled()  # settle the lazy cursor, so the snapshot holds its value
+    snapshot = state(m), dict(m.dead_starts)
+    with pytest.raises(ValueError) as info:
+        m.augment_darts(darts)
+    assert str(info.value) == f"not an augmenting trail: {why}"
+    assert (state(m), m.dead_starts) == snapshot
+    # apply_trail refuses the same trail with the same message
+    with pytest.raises(ValueError) as info:
+        m.apply_trail(Trail(g, darts))
+    assert str(info.value) == f"not an augmenting trail: {why}"
+    assert (state(m), m.dead_starts) == snapshot
+
+
+@pytest.mark.parametrize("darts", [(8,), (-1,), (0, 9), (0, 4), (1, 0, 4)])
+def test_augment_darts_makes_the_range_and_chain_checks_of_trail(darts):
+    g = square()
+    m = KLimitedSubgraph(g, 1)
+    hold_memo(m)
+    m.first_unfilled()
+    snapshot = state(m)
+    with pytest.raises(ValueError) as expected:
+        Trail(g, darts)
+    with pytest.raises(ValueError) as info:
+        m.augment_darts(darts)
+    assert str(info.value) == str(expected.value)
+    assert "out of range" in str(info.value) or "do not chain" in str(info.value)
+    assert state(m) == snapshot
+
+
+def test_apply_trail_refuses_a_foreign_trail_unchanged():
+    g = square()
+    m = KLimitedSubgraph(g, 1)
+    snapshot = state(m)
+    with pytest.raises(ValueError, match="different graph"):
+        m.apply_trail(Trail(square(), (0,)))
+    assert state(m) == snapshot
+
+
+def test_augment_darts_equals_the_symmetric_difference():
+    """On brute-force trails of random states, closed ones at k >= 3 included: the
+    state after augment_darts is from_edges of M symmetric-difference the trail,
+    consistent, and stamped on exactly the trail's vertices while a memo entry
+    is held, and nowhere otherwise."""
+    rng = random.Random(2020)
+    checked = closed = 0
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+        g = Graph(n, pairs)
+        k = rng.randint(1, 4)
+        if k >= 3 and rng.random() < 0.5:
+            m = planted_state(g, k, rng.randrange(n), rng)
+        else:
+            m = random_klimited(g, k, rng)
+        trails = augmenting_trails(g, m)
+        closed_trails = [t for t in trails if g.dart_tails[t[0]] == g.dart_heads[t[-1]]]
+        for darts in closed_trails[:5] + rng.sample(trails, min(10, len(trails))):
+            out = m.copy()
+            memo = rng.random() < 0.5
+            if memo:
+                hold_memo(out)
+            clock = list(out._changed)
+            out.augment_darts(list(darts))
+            want = KLimitedSubgraph.from_edges(g, k, m.in_m ^ {d >> 1 for d in darts})
+            assert (out.in_m, out.deg, out.deficit) == (want.in_m, want.deg, want.deficit)
+            assert out.deficit == m.deficit - 2
+            out.check_consistency()
+            vertices = set(Trail(g, darts).vertices())
+            if memo:
+                assert out._changed == [out.deficit if v in vertices else c for v, c in enumerate(clock)]
+            else:
+                assert out._changed == clock
+            checked += 1
+            closed += k >= 3 and g.dart_tails[darts[0]] == g.dart_heads[darts[-1]]
+    assert checked > 1000 and closed > 20
+
+
+# ---------------------------------------------------------------------------
 # factor documents
 
 
@@ -594,3 +695,11 @@ def test_parse_factor_errors(text, line, fragment):
     with pytest.raises(GraphFormatError) as info:
         parse_factor(g, text)
     assert info.value.line == line and fragment in str(info.value)
+
+
+@pytest.mark.parametrize("text, bad", [("0 7\n", 7), ("7 0\n", 7), ("-1 2\n", -1), ("1 3\n", 3)])
+def test_parse_factor_names_the_out_of_range_vertex(text, bad):
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(GraphFormatError) as info:
+        parse_factor(g, text)
+    assert str(info.value) == f"line 1: vertex index {bad} out of range for n = 3"
