@@ -13,6 +13,7 @@ number of concurrent readers.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 
 MAX_VERTICES = 1_000_000  # parse_graph's cap on n: a Graph allocates per vertex
@@ -149,6 +150,25 @@ def _int_pair(lineno: int, line: str, expected="edge line 'u v'", kind="edge") -
         raise GraphFormatError(lineno, f"{kind} fields must be integers, got {line!r}") from None
 
 
+# the canonical document serialize_graph writes: every line two ASCII
+# decimals split by one space, ending at '\n' (the last line may not)
+_CANONICAL = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*\n?", re.ASCII)
+
+
+def _read_canonical(text: str) -> Graph | None:
+    """The Graph of a canonical document that passes every check, else None."""
+    if _CANONICAL.fullmatch(text) is None:
+        return None
+    try:
+        ints = list(map(int, text.split()))
+        n, m = ints[0], ints[1]
+        if n > MAX_VERTICES or len(ints) != 2 * m + 2:
+            return None
+        return Graph(n, zip(ints[2::2], ints[3::2]))
+    except ValueError:  # a decimal over int's digit limit, or an edge Graph refuses
+        return None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the plain edge-list format into a Graph.
 
@@ -160,7 +180,18 @@ def parse_graph(text: str) -> Graph:
     count disagreeing with the header. Graph checks the edges (loops,
     out-of-range vertex ids, duplicates) as the lines are read, so every
     refusal is a GraphFormatError naming the first faulty line.
+
+    The canonical document, the one serialize_graph writes (no comments
+    or blank lines, every line two ASCII decimals split by one space and
+    ending at '\n', the last line optionally not), is read in bulk: one
+    split of the whole text, the same header checks, and Graph's edge
+    checks. Any other document, and a canonical one that fails a check,
+    is read line by line, so the result and every error are the same
+    either way.
     """
+    g = _read_canonical(text)
+    if g is not None:
+        return g
     lines = _data_lines(text)
     header = next(lines, None)
     if header is None:

@@ -2,9 +2,10 @@
 
 At k = 1 a k-limited subgraph is a matching and a 1-factor a perfect
 matching, the case Edmonds (1965, "Paths, trees, and flowers") solves
-exactly. edmonds_augmenting_path has the trail finder signature of the
-solve loop, so every path it finds is still validated and applied by the
-loop's apply_trail.
+exactly. edmonds_augmenting_path has the finder signature of the solve
+loop, but hands no trail back: it takes every path it finds in place
+with the matching's checked augment_darts, until every vertex is matched
+or one search fails.
 
 The search grows one alternating tree from an exposed root, breadth
 first. A vertex is even when an even-length alternating path from the
@@ -29,7 +30,7 @@ from collections import deque
 
 from .graph import Graph
 from .search import SearchCounters
-from .subgraph import KLimitedSubgraph, Trail
+from .subgraph import KLimitedSubgraph
 
 
 def augment_at_cursor(
@@ -65,26 +66,56 @@ def augment_at_cursor(
 
 def edmonds_augmenting_path(
     g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
-) -> Trail | None:
-    """Augmenting path for the matching m (k = 1) from its least exposed vertex, or None.
+) -> None:
+    """Augment the matching m (k = 1) in place until it is perfect or a search fails; return None.
 
-    One-edge augmentations at the cursor are taken in place first
-    (augment_at_cursor). Then one blossom search runs from the cursor
-    vertex; the path it finds is returned as a vertex-simple Trail, whose
-    inner vertices are all matched. None means that search failed, and
-    then m has no perfect matching: by Edmonds' lemma, an exposed vertex
-    with no augmenting path is left exposed by some maximum matching (an
+    Each round takes the one-edge augmentations at the cursor in place
+    first (augment_at_cursor), then runs one blossom search from the
+    cursor vertex. The path it finds must be vertex-simple, or
+    AssertionError is raised, and m.augment_darts must accept it, or its
+    refusal is raised as AssertionError. Returns when every vertex is
+    matched, or at the first search that fails: then m has no perfect
+    matching, by Edmonds' lemma, since an exposed vertex with no
+    augmenting path is left exposed by some maximum matching (an
     augmentation elsewhere never creates a path from it), so no matching
-    covers every vertex. Each augmentation, in place or returned, counts
-    as one extraction and is traced as accepted; each contraction counts
-    as one blossom operation. A path that revisits a vertex, or whose
-    recovery does not reach the root, raises AssertionError.
+    covers every vertex. Each augmentation, in place at the cursor or
+    along a path, counts as one extraction and is traced as accepted;
+    each contraction counts as one blossom operation.
     """
     if m.k != 1:
         raise ValueError("the blossom search needs k = 1")
-    root = augment_at_cursor(g, m, trace, counters)
-    if root == g.n:
-        return None
+    heads = g.dart_heads
+    while True:
+        root = augment_at_cursor(g, m, trace, counters)
+        if root == g.n:
+            return None
+        darts = _blossom_path(g, m, root, counters)
+        if darts is None:
+            return None
+        vertices = {heads[d] for d in darts}
+        vertices.add(root)
+        if len(vertices) != len(darts) + 1:
+            raise AssertionError("blossom search returned a non-simple path")
+        try:
+            m.augment_darts(darts)
+        except ValueError as exc:
+            raise AssertionError(str(exc)) from exc
+        if counters is not None:
+            counters.extracted += 1
+        if trace:
+            trace("accepted", *darts)
+
+
+def _blossom_path(
+    g: Graph, m: KLimitedSubgraph, root: int, counters: SearchCounters | None
+) -> list[int] | None:
+    """Darts of an augmenting path from the exposed vertex root, or None when the search fails.
+
+    One breadth-first alternating tree from root, with blossoms
+    contracted as the module docstring describes; each contraction counts
+    as one blossom operation. A path whose recovery does not reach the
+    root raises AssertionError.
+    """
     in_m = m.in_m
     heads = g.dart_heads
     tails = g.dart_tails
@@ -184,11 +215,4 @@ def edmonds_augmenting_path(
         if len(darts) > g.n:
             raise AssertionError("blossom search path does not reach its root")
     darts.reverse()
-    found = Trail(g, tuple(darts))
-    if len(set(found.vertices())) != len(darts) + 1:
-        raise AssertionError("blossom search returned a non-simple path")
-    if counters is not None:
-        counters.extracted += 1
-    if trace:
-        trace("accepted", *found.darts)
-    return found
+    return darts

@@ -5,9 +5,10 @@ KLimitedSubgraph in place, starting from the empty subgraph, until the
 deficit hits zero (factor found) or the trail finder gives up (no
 factor). compute_k_factor picks its finder by k alone. At k = 1, where a
 factor is a perfect matching, it is matching.edmonds_augmenting_path,
-Edmonds' blossom search on the host itself, which gives up after the
-first root whose search fails: no perfect matching exists then. For
-k >= 2 it is the layered search, find_augmenting_trail.
+Edmonds' blossom search on the host itself, which augments m in place
+and gives up after the first root whose search fails: no perfect
+matching exists then. For k >= 2 it is the layered search,
+find_augmenting_trail.
 compute_bipartite_k_factor refuses non-bipartite input and uses
 _bfs_augmenting_path, a breadth-first shortest alternating path search
 that is sound on bipartite hosts only. It never hands a trail back: it
@@ -30,16 +31,18 @@ A finder is called as find(g, m, trace, counters), where m is the loop's
 one working state. A finder may change m's edges only through m's
 checked augmentations (augment_edge, augment_darts), and may keep its
 own memo in m.dead_starts; every other change is the loop's apply_trail
-of a trail the finder returned. It returns the next Trail for the loop
-to apply, or None when it has no more, adds its extractions (one per
-augmentation it finds, in place or returned) and blossom operations to
-the SearchCounters, and may raise AssertionError on a trail it finds
+of a trail the finder returned. Only the layered engine returns Trails:
+it returns the next one for the loop to apply, or None when it has no
+more. The bipartite and blossom engines take every path in place and
+return None. A finder adds its extractions (one per augmentation it
+finds, in place or returned) and blossom operations to the
+SearchCounters, and may raise AssertionError on a trail it finds
 malformed. The checks are real raises: augment_edge refuses an edge that
 is not a one-edge augmenting trail, augment_darts a dart sequence that
-is not an augmenting trail, and a refusal of a path the bipartite
-finder found or of a trail a finder returned becomes AssertionError;
-the deficit must drop by exactly 2 on each augmentation, and a found
-factor is re-verified k-regular spanning. Every augmentation lowers the
+is not an augmenting trail, and a refusal of a path the bipartite or
+blossom finder found or of a trail a finder returned becomes
+AssertionError; the deficit must drop by exactly 2 on each augmentation,
+and a found factor is re-verified k-regular spanning. Every augmentation lowers the
 deficit by 2, so the loop reports (k*n - deficit) / 2 augmentations.
 """
 

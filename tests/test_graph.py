@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kfactor import Graph, GraphFormatError, dart_edge, opposite, parse_graph, serialize_graph
+from kfactor import graph as graph_module
 from kfactor.graph import MAX_VERTICES
 
 
@@ -227,18 +228,51 @@ def _refuses(n, edges):
 
 
 def test_parse_graph_refuses_huge_vertex_count_before_allocating():
-    # a 13-byte header must not build a million-entry adjacency list
-    tracemalloc.start()
-    try:
-        with pytest.raises(GraphFormatError) as info:
-            parse_graph(f"# huge\n{MAX_VERTICES + 1} 0\n")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert info.value.line == 2
-    assert f"vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}" in str(info.value)
-    assert peak < 100_000
+    # a 13-byte header must not build a million-entry adjacency list, whether
+    # the document is read in bulk (no comment) or line by line
+    for text, line in ((f"# huge\n{MAX_VERTICES + 1} 0\n", 2), (f"{MAX_VERTICES + 1} 0\n", 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError) as info:
+                parse_graph(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.line == line
+        assert f"vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}" in str(info.value)
+        assert peak < 100_000
     assert MAX_VERTICES == 1_000_000
+
+
+@st.composite
+def canonical_texts(draw):
+    """A canonical document, with leading zeros, header counts that may be huge or
+    disagree with the edge lines, loops, out-of-range ids and repeats."""
+    decimal = lambda x: "0" * draw(st.integers(0, 2)) + str(x)  # noqa: E731
+    n, edges, _ = draw(faulty_edge_lists())
+    edges = [(u, v) for u, v in edges if u >= 0 and v >= 0]  # a sign is not canonical
+    if draw(st.integers(0, 7)) == 0:
+        n = draw(st.integers(MAX_VERTICES + 1, MAX_VERTICES + 99))
+    m = len(edges) if draw(st.booleans()) else draw(st.integers(0, 12))
+    lines = [f"{decimal(n)} {decimal(m)}"] + [f"{decimal(u)} {decimal(v)}" for u, v in edges]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@given(canonical_texts())
+def test_bulk_reader_equals_line_reader(text):
+    assert graph_module._CANONICAL.fullmatch(text)
+    # a comment line is not canonical, so "#\n" + text is read line by line
+    try:
+        g = parse_graph(text)
+    except GraphFormatError as bulk:
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph("#\n" + text)
+        assert (info.value.line, info.value.reason) == (bulk.line + 1, bulk.reason)
+        return
+    h = parse_graph("#\n" + text)
+    assert (h.n, h.m, h.endpoints, h.adjacency) == (g.n, g.m, g.endpoints, g.adjacency)
+    assert (h.dart_tails, h.dart_heads) == (g.dart_tails, g.dart_heads)
+    assert all(h.edge_id(u, v) == g.edge_id(u, v) for u in range(g.n + 1) for v in range(g.n + 1))
 
 
 def test_format_error_is_a_value_error():

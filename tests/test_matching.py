@@ -12,6 +12,7 @@ from kfactor import (
     Graph,
     KLimitedSubgraph,
     SearchCounters,
+    Trail,
     compute_k_factor,
     verify_factor,
 )
@@ -135,18 +136,29 @@ def test_finder_paths_are_simple_and_accepted_on_random_hosts():
         g = random_gnp(n, min(1.0, rng.uniform(1.0, 4.0) / n), rng)
         m = KLimitedSubgraph(g, 1)
         counters = SearchCounters()
-        while m.deficit > 0:
-            path = edmonds_augmenting_path(g, m, None, counters)
-            if path is None:
-                break
+        paths = []
+        deficits = []
+
+        def accepted(event, *darts):
+            assert event == "accepted"
+            paths.append(darts)
+            deficits.append(m.deficit)
+
+        assert edmonds_augmenting_path(g, m, accepted, counters) is None
+        # each path the finder took is simple and, replayed from the empty
+        # matching, accepted by apply_trail with the same drop in deficit
+        replay = KLimitedSubgraph(g, 1)
+        for darts, after in zip(paths, deficits):
+            path = Trail(g, darts)
             vertices = path.vertices()
             assert len(set(vertices)) == len(vertices)
-            before = m.deficit
-            m.apply_trail(path)
-            assert m.deficit == before - 2
+            before = replay.deficit
+            replay.apply_trail(path)
+            assert replay.deficit == before - 2 == after
+        assert replay.in_m == m.in_m
         m.check_consistency()
         done = (g.n - m.deficit) // 2
-        assert counters.extracted == done
+        assert counters.extracted == done == len(paths)
         augmentations += done
         blossoms += counters.blossoms
         if g.m <= 24:
@@ -180,10 +192,12 @@ def test_finder_contracts_an_odd_cycle():
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
     m = KLimitedSubgraph.from_edges(g, 1, [g.edge_id(1, 2)])
     counters = SearchCounters()
-    path = edmonds_augmenting_path(g, m, None, counters)
+    events = []
+    assert edmonds_augmenting_path(g, m, lambda *a: events.append(a), counters) is None
+    assert [e[0] for e in events] == ["accepted"]
+    path = Trail(g, events[0][1:])
     assert path.vertices() == [0, 2, 1, 3]
     assert (counters.blossoms, counters.extracted) == (1, 1)
-    m.apply_trail(path)
     assert m.deficit == 0
 
 
