@@ -145,6 +145,8 @@ def _int_pair(lineno: int, line: str, expected="edge line 'u v'", kind="edge") -
     if len(fields) != 2:
         raise GraphFormatError(lineno, f"expected {expected}, got {line!r}")
     try:
+        if "_" in line:  # int reads '_' digit separators: '0_2' would be 2
+            raise ValueError(line)
         return int(fields[0]), int(fields[1])
     except ValueError:
         raise GraphFormatError(lineno, f"{kind} fields must be integers, got {line!r}") from None

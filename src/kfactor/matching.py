@@ -2,8 +2,8 @@
 
 At k = 1 a k-limited subgraph is a matching and a 1-factor a perfect
 matching, the case Edmonds (1965, "Paths, trees, and flowers") solves
-exactly. edmonds_augmenting_path has the finder signature of the solve
-loop, but hands no trail back: it takes every path it finds in place
+exactly. edmonds_augmenting_path, through augment_from_cursor (the loop
+it shares with the bipartite engine), takes every path it finds in place
 with the matching's checked augment_darts, until every vertex is matched
 or one search fails.
 
@@ -64,38 +64,31 @@ def augment_at_cursor(
     return start
 
 
-def edmonds_augmenting_path(
-    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+def augment_from_cursor(
+    g: Graph, m: KLimitedSubgraph, search, trace=None, counters: SearchCounters | None = None
 ) -> None:
-    """Augment the matching m (k = 1) in place until it is perfect or a search fails; return None.
+    """Augment m in place until it is filled or search(cursor) returns None; return None.
 
     Each round takes the one-edge augmentations at the cursor in place
-    first (augment_at_cursor), then runs one blossom search from the
-    cursor vertex. The path it finds must be vertex-simple, or
-    AssertionError is raised, and m.augment_darts must accept it, or its
-    refusal is raised as AssertionError. Returns when every vertex is
-    matched, or at the first search that fails: then m has no perfect
-    matching, by Edmonds' lemma, since an exposed vertex with no
-    augmenting path is left exposed by some maximum matching (an
-    augmentation elsewhere never creates a path from it), so no matching
-    covers every vertex. Each augmentation, in place at the cursor or
-    along a path, counts as one extraction and is traced as accepted;
-    each contraction counts as one blossom operation.
+    (augment_at_cursor), then the path search(cursor) returns as darts: it
+    must be vertex-simple, or AssertionError is raised, and m.augment_darts
+    must accept it, or its refusal is raised as AssertionError. Each
+    augmentation counts as one extraction and is traced as accepted.
     """
-    if m.k != 1:
-        raise ValueError("the blossom search needs k = 1")
     heads = g.dart_heads
+    tails = g.dart_tails
+    n = g.n
     while True:
-        root = augment_at_cursor(g, m, trace, counters)
-        if root == g.n:
+        cursor = augment_at_cursor(g, m, trace, counters)
+        if cursor == n:
             return None
-        darts = _blossom_path(g, m, root, counters)
+        darts = search(cursor)
         if darts is None:
             return None
         vertices = {heads[d] for d in darts}
-        vertices.add(root)
+        vertices.add(tails[darts[0]])
         if len(vertices) != len(darts) + 1:
-            raise AssertionError("blossom search returned a non-simple path")
+            raise AssertionError("search returned a non-simple path")
         try:
             m.augment_darts(darts)
         except ValueError as exc:
@@ -104,6 +97,24 @@ def edmonds_augmenting_path(
             counters.extracted += 1
         if trace:
             trace("accepted", *darts)
+
+
+def edmonds_augmenting_path(
+    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+) -> None:
+    """Augment the matching m (k = 1) in place until it is perfect or a search fails; return None.
+
+    The rounds, checks and counts are those of augment_from_cursor, with
+    one blossom search from the cursor vertex as its search. It returns
+    when every vertex is matched, or at the first search that fails: then
+    m has no perfect matching, by Edmonds' lemma, since an exposed vertex
+    with no augmenting path is left exposed by some maximum matching (an
+    augmentation elsewhere never creates a path from it), so no matching
+    covers every vertex. Each contraction counts as one blossom operation.
+    """
+    if m.k != 1:
+        raise ValueError("the blossom search needs k = 1")
+    augment_from_cursor(g, m, lambda root: _blossom_path(g, m, root, counters), trace, counters)
 
 
 def _blossom_path(

@@ -76,9 +76,10 @@ class LayeredDartGraph:
 
     Layers are plain dart-id sets, never mutated once stored here: the
     functions below build new sets for the layers they change and share
-    the rest with the graph they derive from. A dart may in principle be
-    listed at several depths (synthetic instances in tests do this); the
-    builder itself admits each dart at its earliest depth only.
+    the rest with the graph they derive from. The layers are disjoint:
+    build_layers admits each dart at its earliest depth only, and prune,
+    restrict_to_target and blossom_operation only take subsets.
+    extract_trail relies on this.
     """
 
     __slots__ = ("graph", "start", "layers")
@@ -216,11 +217,11 @@ def extract_trail(gv: LayeredDartGraph, trace=None) -> Trail | None:
     """Depth-first extraction of one complete layered directed trail.
 
     Takes the lowest-id admissible dart at each layer, backtracking when a
-    branch dies, and returns None when no dart-distinct walk spans every
-    layer. Failed (layer, dart) states are memoized whenever each dart
-    occupies a single layer (always true for built graphs, where the memo
-    is sound because nothing upstream can block a later layer); synthetic
-    instances with overlapping layers fall back to plain backtracking.
+    branch dies, and returns None when no walk spans every layer. The
+    layers must be disjoint, as in every LayeredDartGraph the search
+    builds: then every such walk is dart-distinct, and whether a walk
+    completes from a (layer, dart) state depends on that state alone, so
+    failed states are memoized.
     """
     layers = gv.layers
     if not layers or any(not s for s in layers):
@@ -229,8 +230,6 @@ def extract_trail(gv: LayeredDartGraph, trace=None) -> Trail | None:
     heads = g.dart_heads
     adjacency = g.adjacency
     last = len(layers) - 1
-    distinct = len(set().union(*layers)) == sum(len(s) for s in layers)
-    used: set[int] = set()
     failed: set[tuple[int, int]] = set()
     path: list[int] = []
 
@@ -246,14 +245,11 @@ def extract_trail(gv: LayeredDartGraph, trace=None) -> Trail | None:
             stack.pop()
             if path:
                 dead = path.pop()
-                used.discard(dead)
-                if distinct:
-                    failed.add((len(path), dead))
+                failed.add((len(path), dead))
             continue
-        if d in used or (distinct and (i, d) in failed):
+        if (i, d) in failed:
             continue
         path.append(d)
-        used.add(d)
         if i == last:
             found = Trail(g, tuple(path))
             if trace:

@@ -1,49 +1,41 @@
-"""The solve loop, feasibility prechecks, and the bipartite specialization.
+"""The solve entry points, feasibility prechecks, and the bipartite specialization.
 
-Both entry points run one loop, _solve: precheck, then augment one
-KLimitedSubgraph in place, starting from the empty subgraph, until the
-deficit hits zero (factor found) or the trail finder gives up (no
-factor). compute_k_factor picks its finder by k alone. At k = 1, where a
-factor is a perfect matching, it is matching.edmonds_augmenting_path,
-Edmonds' blossom search on the host itself, which augments m in place
-and gives up after the first root whose search fails: no perfect
-matching exists then. For k >= 2 it is the layered search,
-find_augmenting_trail.
-compute_bipartite_k_factor refuses non-bipartite input and uses
-_bfs_augmenting_path, a breadth-first shortest alternating path search
-that is sound on bipartite hosts only. It never hands a trail back: it
-augments m itself until no start has a path, then returns None.
+Both entry points run _solve: precheck, then one call of an engine that
+augments one KLimitedSubgraph in place from the empty subgraph until the
+deficit hits zero (factor found) or it gives up (no factor).
+compute_k_factor picks its engine by k alone. At k = 1, where a factor is
+a perfect matching, it is matching.edmonds_augmenting_path, Edmonds'
+blossom search on the host itself, which gives up after the first root
+whose search fails: no perfect matching exists then. For k >= 2 it is
+_layered_augment, which takes the layered search's trails
+(find_augmenting_trail) until there are none. compute_bipartite_k_factor
+refuses non-bipartite input and uses _bfs_augmenting_path, a
+breadth-first shortest alternating path search that is sound on
+bipartite hosts only.
 
-The bipartite and blossom engines take their starts from
+The blossom and bipartite engines share one loop,
+matching.augment_from_cursor, which takes its starts from
 KLimitedSubgraph.first_unfilled(), a cursor that only moves up because
-degrees never drop. While that least unfilled vertex has a blue edge to
-an unfilled vertex, both take the one-edge augmentation themselves with
-augment_edge, lowest dart id first (matching.augment_at_cursor): that
-is the path their search would return from there. The layered
-engine still scans its starts from vertex 0: the same cursor there
-pushed acceptance criterion 6's 500 -> 1000 doubling ratio under its
-2.5 floor. It keeps a memo on the state instead, m.dead_starts, and
-skips a start whose search failed until an augmentation touches a
-vertex that search read, so each "no" from a start is paid for once per
-change to what it saw rather than once per augmentation.
+degrees never drop. The layered engine still scans its starts from
+vertex 0: the same cursor there pushed acceptance criterion 6's
+500 -> 1000 doubling ratio under its 2.5 floor. It keeps a memo on the
+state instead, m.dead_starts, and skips a start whose search failed
+until an augmentation touches a vertex that search read, so each "no"
+from a start is paid for once per change to what it saw rather than
+once per augmentation.
 
-A finder is called as find(g, m, trace, counters), where m is the loop's
-one working state. A finder may change m's edges only through m's
-checked augmentations (augment_edge, augment_darts), and may keep its
-own memo in m.dead_starts; every other change is the loop's apply_trail
-of a trail the finder returned. Only the layered engine returns Trails:
-it returns the next one for the loop to apply, or None when it has no
-more. The bipartite and blossom engines take every path in place and
-return None. A finder adds its extractions (one per augmentation it
-finds, in place or returned) and blossom operations to the
-SearchCounters, and may raise AssertionError on a trail it finds
-malformed. The checks are real raises: augment_edge refuses an edge that
-is not a one-edge augmenting trail, augment_darts a dart sequence that
-is not an augmenting trail, and a refusal of a path the bipartite or
-blossom finder found or of a trail a finder returned becomes
-AssertionError; the deficit must drop by exactly 2 on each augmentation,
-and a found factor is re-verified k-regular spanning. Every augmentation lowers the
-deficit by 2, so the loop reports (k*n - deficit) / 2 augmentations.
+Every engine is called as augment(g, m, trace, counters) and returns
+None; m is the solve's one working state. An engine changes m's edges
+only through m's checked augmentations (augment_edge, augment_darts,
+apply_trail) and keeps any memo in m.dead_starts. It adds its
+extractions and blossom operations to the SearchCounters and traces
+each augmentation as accepted. The checks are real raises: augment_edge
+refuses an edge that is not a one-edge augmenting trail, augment_darts
+(which apply_trail calls) a dart sequence that is not an augmenting
+trail, and re-checks that the deficit dropped by exactly 2; an engine
+raises a refusal of what it found as AssertionError; and a found factor
+is re-verified k-regular spanning. Every augmentation lowers the deficit
+by 2, so _solve reports (k*n - deficit) / 2 augmentations.
 """
 
 from __future__ import annotations
@@ -52,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 
 from .graph import Graph
-from .matching import augment_at_cursor, edmonds_augmenting_path
+from .matching import augment_from_cursor, edmonds_augmenting_path
 from .search import SearchCounters, find_augmenting_trail
 from .subgraph import KLimitedSubgraph
 
@@ -63,7 +55,7 @@ INFEASIBLE_PRECHECK = "infeasible_precheck"
 
 @dataclass
 class SolveStats:
-    """Counts of one solve; deficit is what the loop left (k*n when the precheck refused)."""
+    """Counts of one solve; deficit is what the engine left (k*n when the precheck refused)."""
 
     augmentations: int = 0
     trails_examined: int = 0
@@ -118,11 +110,30 @@ def compute_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
     those at the first failed search. For k >= 2 the layered search can
     miss a trail, so a no_factor answer can be wrong.
     """
-    return _solve(g, k, edmonds_augmenting_path if k == 1 else find_augmenting_trail, trace)
+    return _solve(g, k, edmonds_augmenting_path if k == 1 else _layered_augment, trace)
 
 
-def _solve(g: Graph, k: int, find, trace) -> SolveOutcome:
-    """Precheck, then augment with the trails find returns until none is left."""
+def _layered_augment(
+    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+) -> None:
+    """Augment m in place with find_augmenting_trail's trails until it finds none; return None.
+
+    Each trail is taken with m.apply_trail, whose refusal is raised as
+    AssertionError.
+    """
+    while m.deficit > 0:
+        # looked up by name on each call: perfbench's layer tracer patches both
+        trail = find_augmenting_trail(g, m, trace, counters)
+        if trail is None:
+            return None
+        try:
+            m.apply_trail(trail)
+        except ValueError as exc:
+            raise AssertionError(str(exc)) from exc
+
+
+def _solve(g: Graph, k: int, augment, trace) -> SolveOutcome:
+    """Precheck, one call of augment on a fresh KLimitedSubgraph, stats, verification."""
     t0 = time.perf_counter()
     stats = SolveStats()
     reason = feasibility_precheck(g, k)
@@ -132,18 +143,7 @@ def _solve(g: Graph, k: int, find, trace) -> SolveOutcome:
         return SolveOutcome(INFEASIBLE_PRECHECK, None, stats, reason)
     counters = SearchCounters()
     m = KLimitedSubgraph(g, k)
-    while m.deficit > 0:
-        trail = find(g, m, trace, counters)
-        if trail is None:
-            break
-        before = m.deficit
-        try:
-            m.apply_trail(trail)
-        except ValueError as exc:
-            # the trail finder handed back a non-augmenting trail
-            raise AssertionError(str(exc)) from exc
-        if m.deficit != before - 2:
-            raise AssertionError("deficit did not drop by exactly 2")
+    augment(g, m, trace, counters)
     stats.augmentations = (k * g.n - m.deficit) // 2
     stats.trails_examined = counters.extracted
     stats.blossom_operations = counters.blossoms
@@ -276,52 +276,33 @@ def _bfs_augmenting_path(
 
     Sound on bipartite hosts only (see _alternating_path). For the same
     reason a path never closes: it has odd length, so it ends on the side
-    opposite its start. Each round first takes the one-edge augmentations
-    at m.first_unfilled() in place (matching.augment_at_cursor), then
-    tries the starts from that cursor in vertex order, skipping filled
-    ones, and takes the first path found: it must be vertex-simple, or
-    AssertionError is raised, and m.augment_darts must accept it, or its
-    refusal is raised as AssertionError. The next round starts again at
-    the cursor, so a start whose search failed is searched again. Each
-    augmentation, in place at the cursor or along a path, counts as one
-    extraction and is traced as accepted.
+    opposite its start. The rounds, checks and counts are those of
+    matching.augment_from_cursor; its search tries the starts from the
+    cursor in vertex order, skipping filled ones, and returns the first
+    path found. A start whose search failed is searched again next round.
     """
     k = m.k
     deg = m.deg
-    heads = g.dart_heads
-    tails = g.dart_tails
     n = g.n
-    while True:
-        cursor = augment_at_cursor(g, m, trace, counters)
+
+    def search(cursor: int) -> list[int] | None:
         for start in range(cursor, n):
-            if deg[start] == k:
-                continue
-            darts = _alternating_path(g, m, start)
-            if darts is not None:
-                break
-        else:
-            return None
-        vertices = {heads[d] for d in darts}
-        vertices.add(tails[darts[0]])
-        if len(vertices) != len(darts) + 1:
-            raise AssertionError("bipartite search returned a non-simple path")
-        try:
-            m.augment_darts(darts)
-        except ValueError as exc:
-            raise AssertionError(str(exc)) from exc
-        if counters is not None:
-            counters.extracted += 1
-        if trace:
-            trace("accepted", *darts)
+            if deg[start] != k:
+                darts = _alternating_path(g, m, start)
+                if darts is not None:
+                    return darts
+        return None
+
+    augment_from_cursor(g, m, search, trace, counters)
 
 
 def compute_bipartite_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
     """k-factor solve specialized to bipartite hosts.
 
     Raises ValueError when g has an odd cycle (two_coloring finds none).
-    The solve itself is the shared loop with the breadth-first path
-    finder, which needs no colouring, checks that every path it takes is
-    vertex-simple and takes all of them in place.
+    The solve itself is _solve with the breadth-first engine, which needs
+    no colouring, checks that every path it takes is vertex-simple and
+    takes all of them in place.
     """
     if two_coloring(g) is None:
         raise ValueError("graph is not bipartite")

@@ -103,6 +103,9 @@ def test_parse_graph_normalizes_endpoint_order():
         ("3 1\n0 1\n1 2\n", 3, "extra edge line"),
         ("3 1\n0\n", 2, "expected edge line"),
         ("3 1\n0 x\n", 2, "edge fields must be integers"),
+        # int's digit separators are not decimal: these would read 0 2 and n = 10
+        ("3 1\n0 0_2\n", 2, "edge fields must be integers"),
+        ("1_0 0\n", 1, "header fields must be integers"),
         ("3 1\n1 1\n", 2, "loop edge at vertex 1"),
         ("3 1\n0 7\n", 2, "vertex index 7 out of range"),
         ("3 2\n0 1\n1 0\n", 3, "duplicate edge (0, 1)"),

@@ -16,6 +16,7 @@ from kfactor import (
     compute_k_factor,
     verify_factor,
 )
+from kfactor import matching
 from kfactor.difftest import DiffConfig, run_difftest
 from kfactor.matching import edmonds_augmenting_path
 from kfactor.oracle import brute_force_k_factor, random_gnp
@@ -199,6 +200,32 @@ def test_finder_contracts_an_odd_cycle():
     assert path.vertices() == [0, 2, 1, 3]
     assert (counters.blossoms, counters.extracted) == (1, 1)
     assert m.deficit == 0
+
+
+def test_refused_path_raises_assertion(monkeypatch):
+    """A path the blossom engine takes is checked by augment_darts, and a
+    refusal surfaces as AssertionError, not as the primitive's ValueError."""
+    # the cursor takes 0 - 1, after which vertex 2 has no one-edge
+    # augmentation and is searched
+    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    roots = []
+
+    def even_path(g, m, root, counters):
+        roots.append(root)
+        return [3, 0]  # 2 -> 0 -> 1: vertex-simple, but of even length
+
+    monkeypatch.setattr(matching, "_blossom_path", even_path)
+    with pytest.raises(AssertionError, match="not an augmenting trail: trail length must be odd"):
+        compute_k_factor(g, 1)
+    assert roots == [2]
+
+
+def test_engine_refuses_a_non_simple_path(monkeypatch):
+    # 2 -> 0 -> 1 -> 0 revisits vertex 0 (and edge 0)
+    monkeypatch.setattr(matching, "_blossom_path", lambda g, m, root, counters: [3, 0, 1])
+    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    with pytest.raises(AssertionError, match="non-simple path"):
+        compute_k_factor(g, 1)
 
 
 def test_finder_refuses_k_above_1():

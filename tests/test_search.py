@@ -265,14 +265,6 @@ def test_extract_none_when_layers_empty():
     assert extract_trail(LayeredDartGraph(g, 0, [{0}, set()])) is None
 
 
-def test_extract_none_when_only_walk_repeats_a_dart():
-    # the chain 0 -> 1 -> 0 exists but reuses dart 0, so nothing is distinct
-    g = path_graph(2)
-    lg = LayeredDartGraph(g, 0, [{0}, {1}, {0}])
-    assert 0 in lg.layers[0] and 0 in lg.layers[2]
-    assert extract_trail(lg) is None
-
-
 def test_extract_trace_reports_darts():
     g = path_graph(4)
     lg = LayeredDartGraph(g, 0, [{0}, {2}, {4}])

@@ -13,15 +13,17 @@ from kfactor import (
     NO_FACTOR,
     Graph,
     KLimitedSubgraph,
+    SearchCounters,
     SolveOutcome,
     Trail,
     compute_bipartite_k_factor,
     compute_k_factor,
+    edmonds_augmenting_path,
     feasibility_precheck,
     two_coloring,
     verify_factor,
 )
-from kfactor import find_augmenting_trail, solver
+from kfactor import solver
 from kfactor.oracle import brute_force_k_factor, enumerate_graphs, random_gnp
 
 from bruteforce import (
@@ -202,12 +204,12 @@ def test_solver_agrees_with_bruteforce_randomized():
 
 def test_layered_engine_agrees_with_bruteforce_at_k1_on_all_5_and_6_vertex_graphs():
     # compute_k_factor runs the blossom search at k = 1, so the layered
-    # engine is driven through the solve loop here. Every 5-vertex host
+    # engine is passed to _solve here. Every 5-vertex host
     # fails the precheck (k*n is odd); the 6-vertex hosts reach the search.
     counts = {FACTOR_FOUND: 0, NO_FACTOR: 0, INFEASIBLE_PRECHECK: 0}
     for n in (5, 6):
         for g in enumerate_graphs(n):
-            out = solver._solve(g, 1, find_augmenting_trail, None)
+            out = solver._solve(g, 1, solver._layered_augment, None)
             counts[out.status] += 1
             assert (out.status == FACTOR_FOUND) == (brute_force_k_factor(g, 1) is not None)
             if out.factor is not None:
@@ -464,14 +466,39 @@ def test_augmentation_counts_agree_on_both_engines():
     assert statuses == {FACTOR_FOUND, NO_FACTOR, INFEASIBLE_PRECHECK}
 
 
-@pytest.mark.parametrize("solve", [compute_k_factor, compute_bipartite_k_factor])
-def test_solve_loop_refuses_a_bad_trail(solve, monkeypatch):
+def test_solve_loop_refuses_a_bad_trail(monkeypatch):
     # darts 0 and 2 chain 0 -> 1 -> 2 on C4: an even trail, never augmenting
-    bad = lambda g, m, *rest: Trail(g, (0, 2))  # noqa: E731
-    monkeypatch.setattr(solver, "find_augmenting_trail", bad)
-    monkeypatch.setattr(solver, "_bfs_augmenting_path", bad)
+    monkeypatch.setattr(solver, "find_augmenting_trail", lambda g, m, *rest: Trail(g, (0, 2)))
     with pytest.raises(AssertionError, match="trail length must be odd"):
-        solve(cycle_graph(4), 2)
+        compute_k_factor(cycle_graph(4), 2)
+
+
+def test_every_engine_augments_in_place_and_returns_none():
+    """Called directly on a fresh state, each engine returns None, leaves a
+    consistent state and traces one accepted event per augmentation; the
+    two cursor engines extract exactly the paths they augment along."""
+    rng = random.Random(2201)
+    engines = {"edmonds": 0, "layered": 0, "bfs": 0}
+    for i in range(240):
+        name = list(engines)[i % 3]
+        k = 1 if name == "edmonds" else rng.randint(1, 3)
+        if name == "bfs":
+            g = random_bipartite(rng.randint(1, 7), rng.randint(1, 7), rng.uniform(0.3, 1.0), rng)
+            engine = solver._bfs_augmenting_path
+        else:
+            g = random_gnp(rng.randint(1, 9), rng.uniform(0.2, 0.9), rng)
+            engine = edmonds_augmenting_path if name == "edmonds" else solver._layered_augment
+        m = KLimitedSubgraph(g, k)
+        counters = SearchCounters()
+        events = []
+        assert engine(g, m, lambda *a: events.append(a), counters) is None
+        m.check_consistency()
+        done = (k * g.n - m.deficit) // 2
+        assert sum(e[0] == "accepted" for e in events) == done
+        if name != "layered":
+            assert counters.extracted == done
+        engines[name] += done
+    assert min(engines.values()) > 100
 
 
 def reference_alternating_path(g: Graph, m: KLimitedSubgraph, start: int) -> list[int] | None:

@@ -685,6 +685,8 @@ def test_parse_factor_ends_lines_at_newline_only(ch):
     [
         ("0 1 2\n", 1, "expected edge line"),
         ("0 x\n", 1, "must be integers"),
+        ("0 1_0\n", 1, "must be integers"),
+        ("0_0 1\n", 1, "must be integers"),
         ("0 9\n", 1, "out of range"),
         ("0 2\n", 1, "unknown edge"),
         ("0 1\n1 0\n", 2, "listed twice"),
