@@ -39,9 +39,10 @@ def augment_at_cursor(
     """Take one-edge augmentations at the least unfilled vertex in place; return that vertex.
 
     While m.first_unfilled() has a blue dart to an unfilled vertex, the
-    lowest such dart's edge is added with m.augment_edge, counted as one
-    extraction and traced as accepted. Returns the cursor vertex the loop
-    stopped at, n when every vertex is filled.
+    lowest such dart's edge is added with m.augment_edge, whose refusal is
+    raised as AssertionError, counted as one extraction and traced as
+    accepted. Returns the cursor vertex the loop stopped at, n when every
+    vertex is filled.
     """
     k = m.k
     deg = m.deg
@@ -55,7 +56,10 @@ def augment_at_cursor(
                 break
         else:
             break
-        m.augment_edge(d >> 1)
+        try:
+            m.augment_edge(d >> 1)
+        except ValueError as exc:
+            raise AssertionError(str(exc)) from exc
         if counters is not None:
             counters.extracted += 1
         if trace:

@@ -11,7 +11,11 @@ _layered_augment, which takes the layered search's trails
 (find_augmenting_trail) until there are none. compute_bipartite_k_factor
 refuses non-bipartite input and uses _bfs_augmenting_path, a
 breadth-first shortest alternating path search that is sound on
-bipartite hosts only.
+bipartite hosts only. It first fills the empty state with
+_karp_sipser_fill, a Karp-Sipser pass adapted to degree caps that takes
+the edges of forced vertices first (those with no more edges to unfilled
+vertices than they can still take) and ends maximal, so that only a few
+vertices are left for the search.
 
 The blossom and bipartite engines share one loop,
 matching.augment_from_cursor, which takes its starts from
@@ -269,21 +273,100 @@ def _alternating_path(g: Graph, m: KLimitedSubgraph, start: int) -> list[int] | 
     return None
 
 
+def _karp_sipser_fill(
+    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+) -> None:
+    """Add one-edge augmentations to m in place, Karp-Sipser style, until m is maximal.
+
+    Karp and Sipser (1981) match a degree-1 vertex first, since its one
+    edge is in some maximum matching. With degree caps the rule reads:
+    let avail[v] count the blue darts from an unfilled v to unfilled
+    vertices; v is forced when avail[v] <= k - deg[v], for then all those
+    edges fit, and it takes them all in dart id order. The pass keeps
+    slack[v] = avail[v] - (k - deg[v]) instead, which an edge added at v
+    leaves as it is; only a vertex that fills lowers the slack of its
+    unfilled blue neighbours, by one each, and one whose slack drops to 0
+    joins the forced stack. With no forced vertex left, the least unfilled
+    vertex with a blue dart to an unfilled vertex takes its lowest such
+    dart; no vertex regains such a dart, so that cursor only moves up, and
+    when it runs off the end no blue edge joins two unfilled vertices.
+    Each edge goes through m.augment_edge, whose refusal is raised as
+    AssertionError, counts as one extraction and is traced as accepted.
+    m must be empty, as every solve's state starts: then avail[v] is v's
+    degree in g.
+    """
+    k = m.k
+    deg = m.deg
+    in_m = m.in_m
+    heads = g.dart_heads
+    adjacency = g.adjacency
+    n = g.n
+    if in_m:
+        raise ValueError("the fill starts from the empty subgraph")
+    slack = [len(darts) - k for darts in adjacency]
+    forced = [v for v in range(n - 1, -1, -1) if slack[v] <= 0]  # least on top
+    taken = 0
+    cursor = 0
+    while True:
+        if forced:
+            v = forced.pop()
+            take_all = True
+        elif cursor == n:
+            break
+        elif deg[cursor] == k:
+            cursor += 1
+            continue
+        else:
+            v = cursor
+            take_all = False
+        for d in adjacency[v]:
+            w = heads[d]
+            if deg[w] < k and (d >> 1) not in in_m:
+                try:
+                    m.augment_edge(d >> 1)
+                except ValueError as exc:
+                    raise AssertionError(str(exc)) from exc
+                taken += 1
+                if trace:
+                    trace("accepted", d)
+                for x in (v, w):
+                    if deg[x] == k:
+                        for b in adjacency[x]:
+                            y = heads[b]
+                            if deg[y] < k and (b >> 1) not in in_m:
+                                slack[y] -= 1
+                                if slack[y] == 0:
+                                    forced.append(y)
+                if not take_all:
+                    break
+        else:
+            if not take_all:
+                cursor += 1  # it has no blue dart to an unfilled vertex left
+    if counters is not None:
+        counters.extracted += taken
+
+
 def _bfs_augmenting_path(
     g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
 ) -> None:
     """Augment m in place along shortest alternating paths until no start has one; return None.
 
-    Sound on bipartite hosts only (see _alternating_path). For the same
-    reason a path never closes: it has odd length, so it ends on the side
-    opposite its start. The rounds, checks and counts are those of
-    matching.augment_from_cursor; its search tries the starts from the
-    cursor in vertex order, skipping filled ones, and returns the first
-    path found. A start whose search failed is searched again next round.
+    First _karp_sipser_fill makes m maximal with one-edge augmentations,
+    forced vertices first, so that few vertices are left for the search.
+    Then the path search: sound on bipartite hosts only (see
+    _alternating_path). For the same reason a path never closes: it has
+    odd length, so it ends on the side opposite its start. The rounds,
+    checks and counts are those of matching.augment_from_cursor; its
+    search tries the starts from the cursor in vertex order, skipping
+    filled ones, and returns the first path found. A start whose search
+    failed is searched again next round. A path turns blue only edges
+    between its filled inner vertices, so m stays maximal and the cursor
+    round takes no one-edge augmentation after the fill.
     """
     k = m.k
     deg = m.deg
     n = g.n
+    _karp_sipser_fill(g, m, trace, counters)
 
     def search(cursor: int) -> list[int] | None:
         for start in range(cursor, n):

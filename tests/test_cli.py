@@ -106,6 +106,19 @@ def test_huge_vertex_count_exits_2(argv, tmp_path, capsys):
     assert err == "error: line 1: vertex count 1000000000 exceeds the limit of 1000000\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["--bipartite"]], ids=["edmonds", "bipartite"])
+def test_solve_internal_refusal_is_not_reported_as_bad_input(flags, c6_file, monkeypatch, capsys):
+    """An engine's refused one-edge augmentation is an internal fault: it
+    raises AssertionError instead of exiting 2 with an input error."""
+    def refuse(self, e):
+        raise ValueError(f"not an augmenting trail: edge {e} is red")
+
+    monkeypatch.setattr(kfactor.KLimitedSubgraph, "augment_edge", refuse)
+    with pytest.raises(AssertionError, match="not an augmenting trail: edge 0 is red"):
+        main(["solve", "--input", c6_file, "--k", "1", *flags])
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_missing_file_exits_2(tmp_path, capsys):
     code = main(["solve", "--input", str(tmp_path / "nope.txt"), "--k", "1"])
     assert code == 2

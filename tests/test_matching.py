@@ -228,6 +228,17 @@ def test_engine_refuses_a_non_simple_path(monkeypatch):
         compute_k_factor(g, 1)
 
 
+def test_refused_one_edge_augmentation_raises_assertion(monkeypatch):
+    """A one-edge augmentation the cursor round takes is checked by
+    augment_edge, and a refusal surfaces as AssertionError."""
+    def refuse(self, e):
+        raise ValueError(f"not an augmenting trail: edge {e} is red")
+
+    monkeypatch.setattr(KLimitedSubgraph, "augment_edge", refuse)
+    with pytest.raises(AssertionError, match="not an augmenting trail: edge 0 is red"):
+        compute_k_factor(cycle_graph(6), 1)
+
+
 def test_finder_refuses_k_above_1():
     g = cycle_graph(4)
     with pytest.raises(ValueError, match="k = 1"):

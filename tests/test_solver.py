@@ -372,26 +372,6 @@ def test_bipartite_paths_are_vertex_simple():
         assert len(set(vs)) == len(vs)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_bipartite_starts_from_least_unfilled_vertex_with_a_trail(k):
-    """Replay every 3+3 bipartite host: each accepted path starts at the least
-    unfilled vertex from which the brute-force enumeration finds a trail."""
-    full = complete_bipartite(3, 3)
-    replayed = 0
-    for bits in range(1 << full.m):
-        g = Graph(6, [full.endpoints[e] for e in range(full.m) if bits >> e & 1])
-        events = []
-        compute_bipartite_k_factor(g, k, trace=lambda *a: events.append(a))
-        m = KLimitedSubgraph(g, k)
-        for event, *darts in events:
-            assert event == "accepted"
-            starts = {g.dart_tails[t[0]] for t in augmenting_trails(g, m)}
-            assert g.dart_tails[darts[0]] == min(starts)
-            m.apply_trail(Trail(g, tuple(darts)))
-            replayed += 1
-    assert replayed >= 3 * k  # K(3,3) alone takes 3k augmentations
-
-
 def first_shortest_trail(g: Graph, m: KLimitedSubgraph) -> tuple[int, ...] | None:
     """The path the bipartite engine must take next, from brute force: of the
     trails from the least start that has one, a shortest, and of those the
@@ -403,11 +383,94 @@ def first_shortest_trail(g: Graph, m: KLimitedSubgraph) -> tuple[int, ...] | Non
     return min((t for t in trails if g.dart_tails[t[0]] == start), key=lambda t: (len(t), t))
 
 
+def is_maximal(g: Graph, m: KLimitedSubgraph) -> bool:
+    """No one-edge augmenting trail: every blue edge has a filled endpoint."""
+    k = m.k
+    return all(e in m.in_m or m.deg[u] == k or m.deg[v] == k for e, (u, v) in enumerate(g.endpoints))
+
+
+def replay_bipartite_solve(g: Graph, k: int, out: SolveOutcome, events) -> tuple[int, int]:
+    """Replay a bipartite solve's accepted events on a fresh state, checking
+    each at its moment: a one-dart event (the fill) is a valid one-edge trail,
+    and all of them come first; when they end no one-edge augmenting trail is
+    left; every longer path is exactly first_shortest_trail; the answer is
+    the replayed state, and no_factor leaves no augmenting trail.
+    Returns (events replayed, longer paths among them)."""
+    m = KLimitedSubgraph(g, k)
+    longer = 0
+    for event, *darts in events:
+        assert event == "accepted"
+        trail = Trail(g, tuple(darts))
+        if len(darts) == 1:
+            assert longer == 0
+            assert m.validate_augmenting_trail(trail) == (True, "ok")
+        else:
+            assert is_maximal(g, m)
+            assert trail.darts == first_shortest_trail(g, m)
+            longer += 1
+        m.apply_trail(trail)
+    if out.status == INFEASIBLE_PRECHECK:
+        assert not events
+        return 0, 0
+    assert is_maximal(g, m)
+    if out.status == NO_FACTOR:
+        assert m.deficit > 0 and first_shortest_trail(g, m) is None
+    else:
+        assert m.deficit == 0 and out.factor == m.member_edges()
+    return len(events), longer
+
+
+def replay_search_without_fill(g: Graph, k: int, monkeypatch) -> tuple[str, int, int]:
+    """Solve g with the fill patched out, so that the search takes every path
+    from the empty state, and replay: every accepted path, in place or
+    returned, is exactly first_shortest_trail, and no_factor leaves no
+    augmenting trail. Returns (status, events replayed, longer paths)."""
+    events = []
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_karp_sipser_fill", lambda *args: None)
+        out = compute_bipartite_k_factor(g, k, trace=lambda *a: events.append(a))
+    m = KLimitedSubgraph(g, k)
+    longer = 0
+    for event, *darts in events:
+        assert event == "accepted"
+        assert tuple(darts) == first_shortest_trail(g, m)
+        m.apply_trail(Trail(g, tuple(darts)))
+        longer += len(darts) > 1
+    if out.status == NO_FACTOR:
+        assert first_shortest_trail(g, m) is None
+    elif out.status == FACTOR_FOUND:
+        assert m.deficit == 0
+    return out.status, len(events), longer
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_bipartite_takes_the_first_shortest_trail_on_shuffled_4_4_hosts(k):
+def test_bipartite_starts_from_least_unfilled_vertex_with_a_trail(k, monkeypatch):
+    """Replay every 3+3 bipartite host as solved (replay_bipartite_solve) and
+    with the fill patched out (replay_search_without_fill), where each
+    accepted path starts at the least unfilled vertex from which the
+    brute-force enumeration finds a trail."""
+    full = complete_bipartite(3, 3)
+    replayed = longer = 0
+    for bits in range(1 << full.m):
+        g = Graph(6, [full.endpoints[e] for e in range(full.m) if bits >> e & 1])
+        events = []
+        out = compute_bipartite_k_factor(g, k, trace=lambda *a: events.append(a))
+        replayed += replay_bipartite_solve(g, k, out, events)[0]
+        status, done, paths = replay_search_without_fill(g, k, monkeypatch)
+        assert status == out.status
+        assert done == len(events)
+        longer += paths
+    assert replayed >= 3 * k  # K(3,3) alone takes 3k augmentations
+    # at k = 3 only K(3,3) itself passes the precheck, one edge at a time
+    assert longer > 0 or k == 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bipartite_takes_the_first_shortest_trail_on_shuffled_4_4_hosts(k, monkeypatch):
     """Sampled 4+4 hosts with shuffled vertex labels and edge ids, so that dart
-    id order differs from head vertex order: every accepted path, in place or
-    returned, is exactly first_shortest_trail, and the solve stops only when no
+    id order differs from head vertex order, replayed as solved and with the
+    fill patched out: every accepted path is checked as replay_bipartite_solve
+    and replay_search_without_fill say, and the solve stops only when no
     augmenting trail is left."""
     rng = random.Random(1500 + k)
     full = complete_bipartite(4, 4)
@@ -420,20 +483,14 @@ def test_bipartite_takes_the_first_shortest_trail_on_shuffled_4_4_hosts(k):
         g = Graph(8, pairs)
         events = []
         out = compute_bipartite_k_factor(g, k, trace=lambda *a: events.append(a))
+        replay_bipartite_solve(g, k, out, events)
         if out.status == INFEASIBLE_PRECHECK:
             continue
-        m = KLimitedSubgraph(g, k)
-        for event, *darts in events:
-            assert event == "accepted"
-            assert tuple(darts) == first_shortest_trail(g, m)
-            m.apply_trail(Trail(g, tuple(darts)))
-            replayed += 1
-            longer += len(darts) > 1
-        if out.status == NO_FACTOR:
-            assert first_shortest_trail(g, m) is None
-            no_factor += 1
-        else:
-            assert m.deficit == 0
+        status, done, paths = replay_search_without_fill(g, k, monkeypatch)
+        assert status == out.status
+        replayed += done
+        longer += paths
+        no_factor += out.status == NO_FACTOR
     assert replayed >= 40 and longer > 0
     # at k = 3 a host that passes the precheck misses at most a matching of
     # K(4,4), which extends to a perfect matching, so a 3-factor always exists
@@ -556,17 +613,30 @@ def test_alternating_path_matches_the_queue_form():
     assert lengths[0] > 1000 and lengths[1] > 500 and lengths[3] > 500 and lengths[5] > 80 and lengths[7] > 10
 
 
+# A host on which a search still runs at k = 1 (no subgraph of K(3,3) needs
+# one, at any k): the fill takes 0 - 5, which forces 2, 3, 6 and 7; 3 takes
+# 3 - 4 and 7 takes 7 - 1, after which 2 and 6 have no one-edge augmentation
+# left, and the search from 2 finds 2 - 5 - 0 - 6.
+SEARCHED_HOST = [(0, 5), (0, 6), (0, 7), (1, 5), (1, 6), (1, 7), (2, 4), (2, 5), (3, 4), (3, 5)]
+
+
+def test_bipartite_fill_leaves_one_path_on_the_searched_host():
+    g = Graph(8, SEARCHED_HOST)
+    events = []
+    out = compute_bipartite_k_factor(g, 1, trace=lambda *a: events.append(a))
+    assert [tuple(darts) for _, *darts in events] == [(0,), (16,), (11,), (14, 1, 2)]
+    assert replay_bipartite_solve(g, 1, out, events) == (4, 1)
+
+
 def test_bipartite_refused_path_raises_assertion(monkeypatch):
     """A path the bipartite engine takes is checked by augment_darts, and a
     refusal surfaces as AssertionError, not as the primitive's ValueError."""
-    # b = 0, c = 1, a = 2, d = 3 on the path a - b - c - d: the cursor takes
-    # b - c, after which vertex 2 has no one-edge augmentation and is searched
-    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    g = Graph(8, SEARCHED_HOST)
     starts = []
 
     def even_path(g, m, start):
         starts.append(start)
-        return [3, 0]  # 2 -> 0 -> 1: vertex-simple, but of even length
+        return [14, 1]  # 2 -> 5 -> 0: vertex-simple, but of even length
 
     monkeypatch.setattr(solver, "_alternating_path", even_path)
     with pytest.raises(AssertionError, match="not an augmenting trail: trail length must be odd"):
@@ -575,11 +645,118 @@ def test_bipartite_refused_path_raises_assertion(monkeypatch):
 
 
 def test_bipartite_engine_refuses_a_non_simple_path(monkeypatch):
-    # 2 -> 0 -> 1 -> 0 revisits vertex 0 (and edge 0)
-    monkeypatch.setattr(solver, "_alternating_path", lambda g, m, start: [3, 0, 1])
-    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    # 2 -> 5 -> 0 -> 5 revisits vertex 5 (and edge 0)
+    monkeypatch.setattr(solver, "_alternating_path", lambda g, m, start: [14, 1, 0])
     with pytest.raises(AssertionError, match="non-simple path"):
-        compute_bipartite_k_factor(g, 1)
+        compute_bipartite_k_factor(Graph(8, SEARCHED_HOST), 1)
+
+
+@pytest.mark.parametrize("solve", [compute_k_factor, compute_bipartite_k_factor])
+def test_one_edge_refusal_raises_assertion(solve, monkeypatch):
+    """A one-edge augmentation an engine takes is checked by augment_edge, and
+    a refusal surfaces as AssertionError, not as the primitive's ValueError."""
+    def refuse(self, e):
+        raise ValueError(f"not an augmenting trail: edge {e} is red")
+
+    monkeypatch.setattr(KLimitedSubgraph, "augment_edge", refuse)
+    with pytest.raises(AssertionError, match="not an augmenting trail: edge 0 is red"):
+        solve(cycle_graph(6), 1)
+
+
+def test_fill_takes_forced_vertices_first():
+    """_karp_sipser_fill on random bipartite hosts, replayed on a second state. avail[v] lists the blue darts from an
+    unfilled v to unfilled vertices, and v is forced when 0 < len(avail[v])
+    <= k - deg[v]. While some vertex is forced, each edge is a forced
+    vertex's lowest avail dart, and that vertex goes on until its avail is
+    empty; otherwise the least vertex with avail takes its lowest dart. The
+    fill ends maximal and counts one extraction per edge."""
+    rng = random.Random(2323)
+    forced_edges = cursor_edges = 0
+    for _ in range(300):
+        g = random_bipartite(rng.randint(1, 8), rng.randint(1, 8), rng.uniform(0.2, 0.9), rng)
+        k = rng.randint(1, 3)
+        m = KLimitedSubgraph(g, k)
+        replay = KLimitedSubgraph(g, k)
+        counters = SearchCounters()
+        events = []
+        assert solver._karp_sipser_fill(g, m, lambda *a: events.append(a), counters) is None
+        taking = None  # the forced vertex whose edges are being taken
+        for event, d in events:
+            assert event == "accepted"
+            avail = {
+                v: [b for b in g.adjacency[v]
+                    if (b >> 1) not in replay.in_m and replay.deg[g.dart_heads[b]] < k]
+                for v in range(g.n) if replay.deg[v] < k
+            }
+            forced = {v for v, darts in avail.items() if 0 < len(darts) <= k - replay.deg[v]}
+            v = g.dart_tails[d]
+            if taking in forced:
+                assert v == taking
+            elif forced:
+                assert v in forced
+            else:
+                assert v == min(u for u, darts in avail.items() if darts)
+                cursor_edges += 1
+            forced_edges += v in forced
+            taking = v if v in forced else None
+            assert d == avail[v][0]
+            replay.augment_edge(d >> 1)
+        assert replay.in_m == m.in_m
+        assert is_maximal(g, m)
+        assert counters.extracted == len(events)
+        m.check_consistency()
+    assert forced_edges > 800 and cursor_edges > 100
+
+
+def test_fill_refuses_a_non_empty_state():
+    g = cycle_graph(4)
+    m = KLimitedSubgraph(g, 1)
+    m.augment_edge(0)
+    with pytest.raises(ValueError, match="empty subgraph"):
+        solver._karp_sipser_fill(g, m)
+    assert m.member_edges() == [0]
+
+
+@pytest.mark.parametrize("sides", [(3, 3), (3, 4)], ids=["K33", "K34"])
+def test_bipartite_agrees_with_brute_force_on_every_spanning_subgraph(sides):
+    """Every spanning subgraph of K(a, b) at k = 1, 2, 3: the status agrees
+    with brute_force_k_factor, and every factor found passes verify_factor.
+    The sides of K(3,4) differ in size, so none of its subgraphs has a
+    factor and every answer there is a proof of none; K(3,3) adds hosts
+    that have one."""
+    full = complete_bipartite(*sides)
+    statuses = set()
+    for bits in range(1 << full.m):
+        g = Graph(full.n, [full.endpoints[e] for e in range(full.m) if bits >> e & 1])
+        for k in (1, 2, 3):
+            out = compute_bipartite_k_factor(g, k)
+            assert (out.status == FACTOR_FOUND) == (brute_force_k_factor(g, k) is not None)
+            if out.status == FACTOR_FOUND:
+                assert verify_factor(g, k, out.factor) == (True, {})
+            statuses.add(out.status)
+    expected = {INFEASIBLE_PRECHECK, NO_FACTOR}
+    assert statuses == (expected | {FACTOR_FOUND} if sides[0] == sides[1] else expected)
+
+
+def test_bipartite_fill_leaves_few_path_searches():
+    """A union of 4 random perfect matchings between two sides of 200
+    vertices, solved at k = 2: the fill takes so much of the factor that at
+    most 5% of the accepted augmentations are longer paths."""
+    rng = random.Random(2300)
+    half = 200
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < 4 * half:
+        right = rng.sample(range(half, 2 * half), half)
+        matching = set(zip(range(half), right))
+        if not matching & edges:
+            edges |= matching
+    g = Graph(2 * half, sorted(edges))
+    events = []
+    out = compute_bipartite_k_factor(g, 2, trace=lambda *a: events.append(a))
+    assert out.status == FACTOR_FOUND
+    assert len(events) == out.stats.augmentations == 2 * half
+    longer = sum(len(darts) > 1 for _, *darts in events)
+    assert longer <= 0.05 * len(events)
 
 
 def test_bipartite_agrees_with_general_solver_randomized():
