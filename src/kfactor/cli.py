@@ -23,6 +23,8 @@ from .subgraph import parse_factor, serialize_factor
 
 def _positive_int(text: str) -> int:
     try:
+        if "_" in text:  # int reads '_' digit separators: '1_0' would be 10
+            raise ValueError(text)
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
@@ -144,7 +146,8 @@ def _cmd_solve(args) -> int:
         }
         if oracle_doc is not None:
             doc["oracle"] = oracle_doc
-        print(json.dumps(doc))
+        # built here from ints, strings, lists and tuples: it holds no cycle
+        print(json.dumps(doc, check_circular=False))
     else:
         if outcome.status == FACTOR_FOUND:
             sys.stdout.write(serialize_factor(g, outcome.factor))

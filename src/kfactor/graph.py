@@ -13,6 +13,7 @@ number of concurrent readers.
 
 from __future__ import annotations
 
+import json
 import re
 from collections.abc import Iterable
 
@@ -158,16 +159,22 @@ _CANONICAL = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*\n?", re.ASCII)
 
 
 def _read_canonical(text: str) -> Graph | None:
-    """The Graph of a canonical document that passes every check, else None."""
+    """The Graph of a canonical document that passes every check, else None.
+
+    The integers are read with one JSON scan of the text turned into an
+    array. JSON refuses a leading zero ('07') and a decimal over int's
+    digit limit with a ValueError, so such a document, like one that
+    fails a check, is left to the line reader.
+    """
     if _CANONICAL.fullmatch(text) is None:
         return None
     try:
-        ints = list(map(int, text.split()))
+        ints = json.loads("[" + text.rstrip("\n").replace("\n", ",").replace(" ", ",") + "]")
         n, m = ints[0], ints[1]
         if n > MAX_VERTICES or len(ints) != 2 * m + 2:
             return None
         return Graph(n, zip(ints[2::2], ints[3::2]))
-    except ValueError:  # a decimal over int's digit limit, or an edge Graph refuses
+    except ValueError:  # a leading zero, a decimal over int's digit limit, or an edge Graph refuses
         return None
 
 
@@ -186,10 +193,11 @@ def parse_graph(text: str) -> Graph:
     The canonical document, the one serialize_graph writes (no comments
     or blank lines, every line two ASCII decimals split by one space and
     ending at '\n', the last line optionally not), is read in bulk: one
-    split of the whole text, the same header checks, and Graph's edge
-    checks. Any other document, and a canonical one that fails a check,
-    is read line by line, so the result and every error are the same
-    either way.
+    JSON scan of the whole text, the same header checks, and Graph's edge
+    checks. Any other document, a canonical one with a leading zero or a
+    decimal over int's digit limit (JSON refuses both), and a canonical
+    one that fails a check, is read line by line, so the result and
+    every error are the same either way.
     """
     g = _read_canonical(text)
     if g is not None:

@@ -93,7 +93,7 @@ def feasibility_precheck(g: Graph, k: int) -> str | None:
         reasons.append(f"k*n = {k * g.n} is odd")
     if k > g.n - 1:
         reasons.append(f"k = {k} exceeds n - 1 = {g.n - 1}")
-    min_deg = min(len(g.adjacency[v]) for v in range(g.n))
+    min_deg = min(map(len, g.adjacency))
     if min_deg < k:
         reasons.append(f"minimum degree {min_deg} is below k = {k}")
     return "; ".join(reasons) if reasons else None

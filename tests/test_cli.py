@@ -157,6 +157,33 @@ def test_solve_json_no_factor(tmp_path, capsys):
     assert doc["stats"]["deficit"] == 2
 
 
+@pytest.mark.parametrize("graph, code", [(C6, 0), (BOWTIE, 1)], ids=["factor_found", "no_factor"])
+def test_solve_json_bytes(graph, code, tmp_path, capsys):
+    # key order and separators are json.dumps's defaults, one line per document
+    path = tmp_path / "g.txt"
+    path.write_text(graph)
+    assert main(["solve", "--input", str(path), "--k", "2", "--json"]) == code
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["status"] == ("factor_found" if code == 0 else "no_factor")
+    rebuilt = {
+        "status": doc["status"],
+        "k": 2,
+        "n": doc["n"],
+        "m": doc["m"],
+        "factor": doc["factor"],
+        "reason": doc["reason"],
+        "stats": {
+            "augmentations": doc["stats"]["augmentations"],
+            "trails_examined": doc["stats"]["trails_examined"],
+            "blossom_operations": doc["stats"]["blossom_operations"],
+            "elapsed_s": doc["stats"]["elapsed_s"],
+            "deficit": doc["stats"]["deficit"],
+        },
+    }
+    assert out == json.dumps(rebuilt) + "\n"
+
+
 def test_solve_trace_goes_to_stderr(c6_file, capsys):
     code = main(["solve", "--input", c6_file, "--k", "2", "--trace"])
     captured = capsys.readouterr()
@@ -227,6 +254,27 @@ def test_solve_bipartite_refuses_odd_cycle(tmp_path, capsys):
 def test_solve_rejects_bad_k(c6_file, bad_k, capsys):
     code = main(["solve", "--input", c6_file, "--k", bad_k])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input", "GRAPH", "--k", "1_0"],
+        ["verify", "FACTOR", "--input", "GRAPH", "--k", "1_0"],
+        ["difftest", "--random", "1_0", "--n", "4", "--p", "0.5", "--k", "1", "--out", "OUT"],
+    ],
+    ids=["solve", "verify", "difftest"],
+)
+def test_positive_int_options_refuse_digit_separators(argv, c6_file, tmp_path, capsys):
+    # int("1_0") is 10; like the graph reader, the options take plain decimals
+    factor = tmp_path / "factor.txt"
+    factor.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
+    paths = {"GRAPH": c6_file, "FACTOR": str(factor), "OUT": str(tmp_path / "cex")}
+    code = main([paths.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "'1_0' is not an integer" in err
 
 
 # ---------------------------------------------------------------------------

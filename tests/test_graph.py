@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import pytest
@@ -278,6 +279,41 @@ def test_bulk_reader_equals_line_reader(text):
     assert all(h.edge_id(u, v) == g.edge_id(u, v) for u in range(g.n + 1) for v in range(g.n + 1))
 
 
+def _same_graph(h, g):
+    assert (h.n, h.m, h.endpoints, h.adjacency) == (g.n, g.m, g.endpoints, g.adjacency)
+    assert (h.dart_tails, h.dart_heads) == (g.dart_tails, g.dart_heads)
+    assert all(h.edge_id(u, v) == g.edge_id(u, v) for u in range(g.n + 1) for v in range(g.n + 1))
+
+
+@pytest.mark.parametrize("line", [1, 2])
+def test_over_long_decimal_in_canonical_text_is_a_format_error(line):
+    # JSON refuses a decimal over int's digit limit with a ValueError; the
+    # document must then reach the line reader's error, not escape as one
+    huge = "9" * (sys.get_int_max_str_digits() + 1)
+    text = f"{huge} 1\n0 1\n" if line == 1 else f"3 1\n0 {huge}\n"
+    assert graph_module._CANONICAL.fullmatch(text)
+    assert graph_module._read_canonical(text) is None
+    with pytest.raises(GraphFormatError) as bulk:
+        parse_graph(text)
+    with pytest.raises(GraphFormatError) as lines:
+        parse_graph("#\n" + text)
+    assert type(bulk.value) is GraphFormatError
+    assert bulk.value.line == line
+    kind = "header" if line == 1 else "edge"
+    assert bulk.value.reason.startswith(f"{kind} fields must be integers, got ")
+    assert (lines.value.line, lines.value.reason) == (line + 1, bulk.value.reason)
+
+
+@pytest.mark.parametrize("text", ["4 2\n00 1\n2 3\n", "04 2\n0 1\n2 3", "4 02\n0 1\n2 03\n"])
+def test_leading_zeros_go_to_the_line_reader(text):
+    # JSON refuses a leading zero, so the bulk reader declines the document
+    assert graph_module._CANONICAL.fullmatch(text)
+    assert graph_module._read_canonical(text) is None
+    g = parse_graph(text)
+    _same_graph(g, parse_graph("#\n" + text))
+    assert g.endpoints == ((0, 1), (2, 3))
+
+
 def test_format_error_is_a_value_error():
     err = GraphFormatError(7, "boom")
     assert isinstance(err, ValueError)
@@ -319,3 +355,13 @@ def test_dart_indexing_invariants(g):
     # every dart appears exactly once across adjacency
     seen = sorted(d for ds in g.adjacency for d in ds)
     assert seen == list(range(2 * g.m))
+
+
+@given(random_graphs())
+def test_bulk_reader_reads_every_serialized_graph(g):
+    # the bulk path must really be taken, and build the line reader's Graph
+    text = serialize_graph(g)
+    h = graph_module._read_canonical(text)
+    assert h is not None
+    _same_graph(h, parse_graph("#\n" + text))
+    _same_graph(h, g)
