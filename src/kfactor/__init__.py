@@ -27,7 +27,6 @@ from .oracle import (
 from .search import (
     BlossomViolation,
     LayeredDartGraph,
-    SearchCounters,
     blossom_operation,
     build_layers,
     extract_trail,
@@ -66,7 +65,6 @@ __all__ = [
     "parse_factor",
     "LayeredDartGraph",
     "BlossomViolation",
-    "SearchCounters",
     "build_layers",
     "prune",
     "restrict_to_target",

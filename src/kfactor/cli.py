@@ -21,13 +21,20 @@ from .solver import FACTOR_FOUND, compute_bipartite_k_factor, compute_k_factor, 
 from .subgraph import parse_factor, serialize_factor
 
 
-def _positive_int(text: str) -> int:
+_JSON_ENCODER = json.JSONEncoder(check_circular=False)  # a --json document holds no cycle
+
+
+def _int(text: str) -> int:
     try:
         if "_" in text:  # int reads '_' digit separators: '1_0' would be 10
             raise ValueError(text)
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
@@ -58,16 +65,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     diff = sub.add_parser("difftest", help="differential-test the solver against the oracle")
     source = diff.add_mutually_exclusive_group(required=True)
-    source.add_argument("--exhaustive", type=int, metavar="N",
+    source.add_argument("--exhaustive", type=_int, metavar="N",
                         help="all labeled graphs on exactly N vertices")
     source.add_argument("--random", type=_positive_int, metavar="COUNT",
                         help="COUNT seeded random instances")
     diff.add_argument("--n", type=_positive_int, help="vertex count for random mode")
     diff.add_argument("--p", type=float, help="gnp edge probability")
-    diff.add_argument("--d", type=int, help="regular model degree")
+    diff.add_argument("--d", type=_int, help="regular model degree")
     diff.add_argument("--k", type=_positive_int, action="append", required=True,
                       help="k value to test, repeatable")
-    diff.add_argument("--seed", type=int, default=0)
+    diff.add_argument("--seed", type=_int, default=0)
     diff.add_argument("--out", default="difftest-out", help="counterexample directory")
     diff.add_argument("--json", action="store_true")
     diff.set_defaults(func=_cmd_difftest)
@@ -146,8 +153,7 @@ def _cmd_solve(args) -> int:
         }
         if oracle_doc is not None:
             doc["oracle"] = oracle_doc
-        # built here from ints, strings, lists and tuples: it holds no cycle
-        print(json.dumps(doc, check_circular=False))
+        print(_JSON_ENCODER.encode(doc))
     else:
         if outcome.status == FACTOR_FOUND:
             sys.stdout.write(serialize_factor(g, outcome.factor))

@@ -2,10 +2,12 @@
 
 At k = 1 a k-limited subgraph is a matching and a 1-factor a perfect
 matching, the case Edmonds (1965, "Paths, trees, and flowers") solves
-exactly. edmonds_augmenting_path, through augment_from_cursor (the loop
-it shares with the bipartite engine), takes every path it finds in place
-with the matching's checked augment_darts, until every vertex is matched
-or one search fails.
+exactly. edmonds_augmenting_path runs augment_from_cursor, the loop it
+shares with the bipartite engine: from the least unmatched vertex it
+takes an unmatched edge to an unmatched neighbour with the matching's
+checked augment_edge while there is one, and otherwise the blossom
+search's path with the checked augment_darts, until every vertex is
+matched or one search fails.
 
 The search grows one alternating tree from an exposed root, breadth
 first. A vertex is even when an even-length alternating path from the
@@ -27,84 +29,69 @@ leaves it through its base.
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 from .graph import Graph
-from .search import SearchCounters
 from .subgraph import KLimitedSubgraph
 
+if TYPE_CHECKING:
+    from .solver import SolveStats
 
-def augment_at_cursor(
-    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
-) -> int:
-    """Take one-edge augmentations at the least unfilled vertex in place; return that vertex.
 
-    While m.first_unfilled() has a blue dart to an unfilled vertex, the
-    lowest such dart's edge is added with m.augment_edge, whose refusal is
-    raised as AssertionError, counted as one extraction and traced as
-    accepted. Returns the cursor vertex the loop stopped at, n when every
-    vertex is filled.
+def augment_from_cursor(
+    g: Graph, m: KLimitedSubgraph, search, trace=None, stats: SolveStats | None = None
+) -> None:
+    """Augment m in place until it is filled or search(cursor) returns None; return None.
+
+    The cursor is the least unfilled vertex; degrees never drop, so it only
+    moves up, at O(n) over the loop. While it has a blue dart to an unfilled
+    vertex, the lowest such dart's edge is added with m.augment_edge;
+    otherwise search(cursor) returns a path's darts, which must be
+    vertex-simple (else AssertionError) and are taken with m.augment_darts.
+    Either refusal is raised as AssertionError. Each augmentation counts as
+    one trail examined and is traced as accepted.
     """
     k = m.k
     deg = m.deg
     in_m = m.in_m
     heads = g.dart_heads
-    adjacency = g.adjacency
-    start = m.first_unfilled()
-    while start < g.n:
-        for d in adjacency[start]:
-            if (d >> 1) not in in_m and deg[heads[d]] < k:
-                break
-        else:
-            break
-        try:
-            m.augment_edge(d >> 1)
-        except ValueError as exc:
-            raise AssertionError(str(exc)) from exc
-        if counters is not None:
-            counters.extracted += 1
-        if trace:
-            trace("accepted", d)
-        start = m.first_unfilled()
-    return start
-
-
-def augment_from_cursor(
-    g: Graph, m: KLimitedSubgraph, search, trace=None, counters: SearchCounters | None = None
-) -> None:
-    """Augment m in place until it is filled or search(cursor) returns None; return None.
-
-    Each round takes the one-edge augmentations at the cursor in place
-    (augment_at_cursor), then the path search(cursor) returns as darts: it
-    must be vertex-simple, or AssertionError is raised, and m.augment_darts
-    must accept it, or its refusal is raised as AssertionError. Each
-    augmentation counts as one extraction and is traced as accepted.
-    """
-    heads = g.dart_heads
     tails = g.dart_tails
+    adjacency = g.adjacency
     n = g.n
+    cursor = 0
     while True:
-        cursor = augment_at_cursor(g, m, trace, counters)
+        while cursor < n and deg[cursor] == k:
+            cursor += 1
         if cursor == n:
             return None
-        darts = search(cursor)
-        if darts is None:
-            return None
-        vertices = {heads[d] for d in darts}
-        vertices.add(tails[darts[0]])
-        if len(vertices) != len(darts) + 1:
-            raise AssertionError("search returned a non-simple path")
-        try:
-            m.augment_darts(darts)
-        except ValueError as exc:
-            raise AssertionError(str(exc)) from exc
-        if counters is not None:
-            counters.extracted += 1
+        for d in adjacency[cursor]:
+            if (d >> 1) not in in_m and deg[heads[d]] < k:
+                try:
+                    m.augment_edge(d >> 1)
+                except ValueError as exc:
+                    raise AssertionError(str(exc)) from exc
+                darts = (d,)
+                break
+        else:
+            darts = search(cursor)
+            if darts is None:
+                return None
+            vertices = {heads[d] for d in darts}
+            vertices.add(tails[darts[0]])
+            if len(vertices) != len(darts) + 1:
+                raise AssertionError("search returned a non-simple path")
+            try:
+                m.augment_darts(darts)
+            except ValueError as exc:
+                raise AssertionError(str(exc)) from exc
+        if stats is not None:
+            stats.trails_examined += 1
         if trace:
             trace("accepted", *darts)
 
 
 def edmonds_augmenting_path(
-    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+    g: Graph, m: KLimitedSubgraph, trace=None, stats: SolveStats | None = None
 ) -> None:
     """Augment the matching m (k = 1) in place until it is perfect or a search fails; return None.
 
@@ -118,11 +105,11 @@ def edmonds_augmenting_path(
     """
     if m.k != 1:
         raise ValueError("the blossom search needs k = 1")
-    augment_from_cursor(g, m, lambda root: _blossom_path(g, m, root, counters), trace, counters)
+    augment_from_cursor(g, m, lambda root: _blossom_path(g, m, root, stats), trace, stats)
 
 
 def _blossom_path(
-    g: Graph, m: KLimitedSubgraph, root: int, counters: SearchCounters | None
+    g: Graph, m: KLimitedSubgraph, root: int, stats: SolveStats | None
 ) -> list[int] | None:
     """Darts of an augmenting path from the exposed vertex root, or None when the search fails.
 
@@ -201,8 +188,8 @@ def _blossom_path(
                 for x in merged:
                     if x != b:
                         link[x] = b
-                if counters is not None:
-                    counters.blossoms += 1
+                if stats is not None:
+                    stats.blossom_operations += 1
             elif w not in pred:
                 pred[w] = d
                 md = mate(w)

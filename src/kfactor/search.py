@@ -41,9 +41,13 @@ until KLimitedSubgraph.unchanged_since says the memo no longer holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .graph import Graph
 from .subgraph import KLimitedSubgraph, Trail
+
+if TYPE_CHECKING:
+    from .solver import SolveStats
 
 
 @dataclass(frozen=True)
@@ -61,14 +65,6 @@ class BlossomViolation:
     @property
     def out_dart(self) -> int:
         return self.trail.darts[self.out_index]
-
-
-@dataclass
-class SearchCounters:
-    """Cheap event tallies for callers that do not want a trace callback."""
-
-    extracted: int = 0
-    blossoms: int = 0
 
 
 class LayeredDartGraph:
@@ -315,7 +311,7 @@ def blossom_operation(gv: LayeredDartGraph, bv: BlossomViolation, trace=None) ->
 
 
 def find_augmenting_trail(
-    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+    g: Graph, m: KLimitedSubgraph, trace=None, stats: SolveStats | None = None
 ) -> Trail | None:
     """Search for an augmenting trail for the subgraph m.
 
@@ -325,8 +321,8 @@ def find_augmenting_trail(
     layered graph is restricted to that endpoint and the extract/repair
     loop runs until an edge-simple trail appears or the restriction dies.
     Returns the undirected trail of the first success, None after all
-    starts and endpoints fail. An optional SearchCounters tallies
-    extractions and blossom operations without the cost of a trace.
+    starts and endpoints fail. A given SolveStats counts the extractions
+    and blossom operations without the cost of a trace.
 
     A start whose layers could not be built, or whose every restriction
     died, is memoised in m.dead_starts with the current deficit and the
@@ -369,8 +365,8 @@ def find_augmenting_trail(
                 best_v = h
                 best_d = d
         if best_d != -1:
-            if counters is not None:
-                counters.extracted += 1
+            if stats is not None:
+                stats.trails_examined += 1
             if trace:
                 trace("layer-built", 0, blue)
                 trace("extracted", best_d)
@@ -393,15 +389,15 @@ def find_augmenting_trail(
                 trail = extract_trail(gv, trace)
                 if trail is None:
                     break
-                if counters is not None:
-                    counters.extracted += 1
+                if stats is not None:
+                    stats.trails_examined += 1
                 violation = find_blossom_violation(trail)
                 if violation is None:
                     if trace:
                         trace("accepted", *trail.darts)
                     return trail
-                if counters is not None:
-                    counters.blossoms += 1
+                if stats is not None:
+                    stats.blossom_operations += 1
                 gv = blossom_operation(gv, violation, trace)
         dead[start] = (deficit, _vertices_read(g, start, built.layers))
     return None

@@ -18,28 +18,28 @@ vertices than they can still take) and ends maximal, so that only a few
 vertices are left for the search.
 
 The blossom and bipartite engines share one loop,
-matching.augment_from_cursor, which takes its starts from
-KLimitedSubgraph.first_unfilled(), a cursor that only moves up because
-degrees never drop. The layered engine still scans its starts from
-vertex 0: the same cursor there pushed acceptance criterion 6's
-500 -> 1000 doubling ratio under its 2.5 floor. It keeps a memo on the
-state instead, m.dead_starts, and skips a start whose search failed
-until an augmentation touches a vertex that search read, so each "no"
-from a start is paid for once per change to what it saw rather than
-once per augmentation.
+matching.augment_from_cursor, which keeps its own start cursor: the
+least unfilled vertex, which only moves up because degrees never drop.
+The layered engine still scans its starts from vertex 0: the same cursor
+there pushed acceptance criterion 6's 500 -> 1000 doubling ratio under
+its 2.5 floor. It keeps a memo on the state instead, m.dead_starts, and
+skips a start whose search failed until an augmentation touches a vertex
+that search read, so each "no" from a start is paid for once per change
+to what it saw rather than once per augmentation.
 
-Every engine is called as augment(g, m, trace, counters) and returns
-None; m is the solve's one working state. An engine changes m's edges
-only through m's checked augmentations (augment_edge, augment_darts,
-apply_trail) and keeps any memo in m.dead_starts. It adds its
-extractions and blossom operations to the SearchCounters and traces
-each augmentation as accepted. The checks are real raises: augment_edge
-refuses an edge that is not a one-edge augmenting trail, augment_darts
-(which apply_trail calls) a dart sequence that is not an augmenting
-trail, and re-checks that the deficit dropped by exactly 2; an engine
-raises a refusal of what it found as AssertionError; and a found factor
-is re-verified k-regular spanning. Every augmentation lowers the deficit
-by 2, so _solve reports (k*n - deficit) / 2 augmentations.
+Every engine is called as augment(g, m, trace, stats) and returns None;
+m is the solve's one working state and stats its SolveStats. An engine
+changes m's edges only through m's checked augmentations (augment_edge,
+augment_darts, apply_trail) and keeps any memo in m.dead_starts. It adds
+its extractions to stats.trails_examined and its blossom operations to
+stats.blossom_operations, and traces each augmentation as accepted. The
+checks are real raises: augment_edge refuses an edge that is not a
+one-edge augmenting trail, augment_darts (which apply_trail calls) a
+dart sequence that is not an augmenting trail, and re-checks that the
+deficit dropped by exactly 2; an engine raises a refusal of what it
+found as AssertionError; and a found factor is re-verified k-regular
+spanning. Every augmentation lowers the deficit by 2, so _solve reports
+(k*n - deficit) / 2 augmentations.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 from .graph import Graph
 from .matching import augment_from_cursor, edmonds_augmenting_path
-from .search import SearchCounters, find_augmenting_trail
+from .search import find_augmenting_trail
 from .subgraph import KLimitedSubgraph
 
 FACTOR_FOUND = "factor_found"
@@ -118,7 +118,7 @@ def compute_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
 
 
 def _layered_augment(
-    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+    g: Graph, m: KLimitedSubgraph, trace=None, stats: SolveStats | None = None
 ) -> None:
     """Augment m in place with find_augmenting_trail's trails until it finds none; return None.
 
@@ -127,7 +127,7 @@ def _layered_augment(
     """
     while m.deficit > 0:
         # looked up by name on each call: perfbench's layer tracer patches both
-        trail = find_augmenting_trail(g, m, trace, counters)
+        trail = find_augmenting_trail(g, m, trace, stats)
         if trail is None:
             return None
         try:
@@ -145,12 +145,9 @@ def _solve(g: Graph, k: int, augment, trace) -> SolveOutcome:
         stats.deficit = k * g.n
         stats.elapsed_s = time.perf_counter() - t0
         return SolveOutcome(INFEASIBLE_PRECHECK, None, stats, reason)
-    counters = SearchCounters()
     m = KLimitedSubgraph(g, k)
-    augment(g, m, trace, counters)
+    augment(g, m, trace, stats)
     stats.augmentations = (k * g.n - m.deficit) // 2
-    stats.trails_examined = counters.extracted
-    stats.blossom_operations = counters.blossoms
     stats.deficit = m.deficit
     if m.deficit > 0:
         stats.elapsed_s = time.perf_counter() - t0
@@ -274,7 +271,7 @@ def _alternating_path(g: Graph, m: KLimitedSubgraph, start: int) -> list[int] | 
 
 
 def _karp_sipser_fill(
-    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+    g: Graph, m: KLimitedSubgraph, trace=None, stats: SolveStats | None = None
 ) -> None:
     """Add one-edge augmentations to m in place, Karp-Sipser style, until m is maximal.
 
@@ -291,7 +288,7 @@ def _karp_sipser_fill(
     dart; no vertex regains such a dart, so that cursor only moves up, and
     when it runs off the end no blue edge joins two unfilled vertices.
     Each edge goes through m.augment_edge, whose refusal is raised as
-    AssertionError, counts as one extraction and is traced as accepted.
+    AssertionError, counts as one trail examined and is traced as accepted.
     m must be empty, as every solve's state starts: then avail[v] is v's
     degree in g.
     """
@@ -305,7 +302,6 @@ def _karp_sipser_fill(
         raise ValueError("the fill starts from the empty subgraph")
     slack = [len(darts) - k for darts in adjacency]
     forced = [v for v in range(n - 1, -1, -1) if slack[v] <= 0]  # least on top
-    taken = 0
     cursor = 0
     while True:
         if forced:
@@ -326,7 +322,6 @@ def _karp_sipser_fill(
                     m.augment_edge(d >> 1)
                 except ValueError as exc:
                     raise AssertionError(str(exc)) from exc
-                taken += 1
                 if trace:
                     trace("accepted", d)
                 for x in (v, w):
@@ -342,12 +337,12 @@ def _karp_sipser_fill(
         else:
             if not take_all:
                 cursor += 1  # it has no blue dart to an unfilled vertex left
-    if counters is not None:
-        counters.extracted += taken
+    if stats is not None:
+        stats.trails_examined += len(in_m)  # m started empty and gained only these edges
 
 
 def _bfs_augmenting_path(
-    g: Graph, m: KLimitedSubgraph, trace=None, counters: SearchCounters | None = None
+    g: Graph, m: KLimitedSubgraph, trace=None, stats: SolveStats | None = None
 ) -> None:
     """Augment m in place along shortest alternating paths until no start has one; return None.
 
@@ -366,7 +361,7 @@ def _bfs_augmenting_path(
     k = m.k
     deg = m.deg
     n = g.n
-    _karp_sipser_fill(g, m, trace, counters)
+    _karp_sipser_fill(g, m, trace, stats)
 
     def search(cursor: int) -> list[int] | None:
         for start in range(cursor, n):
@@ -376,7 +371,7 @@ def _bfs_augmenting_path(
                     return darts
         return None
 
-    augment_from_cursor(g, m, search, trace, counters)
+    augment_from_cursor(g, m, search, trace, stats)
 
 
 def compute_bipartite_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:

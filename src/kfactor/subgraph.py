@@ -88,11 +88,6 @@ class KLimitedSubgraph:
     cached and maintained incrementally; check_consistency() recomputes
     everything from the membership set and raises on any drift.
 
-    Degrees never drop: an augmentation raises only the endpoint degrees
-    and leaves every inner degree as it was. So once a vertex is filled it
-    stays filled, and first_unfilled() can advance one cursor lazily
-    instead of rescanning from vertex 0.
-
     dead_starts is the layered search's memo on this state: start vertex ->
     (deficit, vertices its failed search read), each entry made at the
     deficit of the moment. Each vertex carries a change clock for it: the
@@ -108,7 +103,7 @@ class KLimitedSubgraph:
     empty memo.
     """
 
-    __slots__ = ("graph", "k", "in_m", "deg", "dead_starts", "_deficit", "_unfilled_from", "_changed")
+    __slots__ = ("graph", "k", "in_m", "deg", "dead_starts", "_deficit", "_changed")
 
     def __init__(self, graph: Graph, k: int):
         if k < 1:
@@ -119,7 +114,6 @@ class KLimitedSubgraph:
         self.deg = [0] * graph.n
         self.dead_starts: dict[int, tuple[int, set[int]]] = {}
         self._deficit = k * graph.n
-        self._unfilled_from = 0
         self._changed = [k * graph.n] * graph.n
 
     @classmethod
@@ -148,7 +142,6 @@ class KLimitedSubgraph:
         out.deg = list(self.deg)
         out.dead_starts = {}
         out._deficit = self._deficit
-        out._unfilled_from = self._unfilled_from
         out._changed = list(self._changed)
         return out
 
@@ -159,21 +152,6 @@ class KLimitedSubgraph:
 
     def is_filled(self, v: int) -> bool:
         return self.deg[v] == self.k
-
-    def first_unfilled(self) -> int:
-        """Lowest vertex with degree below k, or n when every vertex is filled.
-
-        The cursor only moves up, which is sound because degrees never drop;
-        over a whole solve the calls cost O(n) together.
-        """
-        deg = self.deg
-        k = self.k
-        v = self._unfilled_from
-        n = len(deg)
-        while v < n and deg[v] == k:
-            v += 1
-        self._unfilled_from = v
-        return v
 
     def unchanged_since(self, deficit: int, vertices) -> bool:
         """True when no augmentation since this deficit touched any of the vertices.

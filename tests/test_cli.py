@@ -262,11 +262,14 @@ def test_solve_rejects_bad_k(c6_file, bad_k, capsys):
         ["solve", "--input", "GRAPH", "--k", "1_0"],
         ["verify", "FACTOR", "--input", "GRAPH", "--k", "1_0"],
         ["difftest", "--random", "1_0", "--n", "4", "--p", "0.5", "--k", "1", "--out", "OUT"],
+        ["difftest", "--exhaustive", "0_3", "--k", "1", "--out", "OUT"],
+        ["difftest", "--random", "1", "--n", "4", "--d", "0_2", "--k", "1", "--out", "OUT"],
+        ["difftest", "--random", "1", "--n", "4", "--p", "0.5", "--seed", "1_0", "--k", "1", "--out", "OUT"],
     ],
-    ids=["solve", "verify", "difftest"],
+    ids=["solve", "verify", "difftest", "exhaustive", "d", "seed"],
 )
 def test_positive_int_options_refuse_digit_separators(argv, c6_file, tmp_path, capsys):
-    # int("1_0") is 10; like the graph reader, the options take plain decimals
+    # int("1_0") is 10; like the graph reader, every integer option takes plain decimals
     factor = tmp_path / "factor.txt"
     factor.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
     paths = {"GRAPH": c6_file, "FACTOR": str(factor), "OUT": str(tmp_path / "cex")}
@@ -274,7 +277,8 @@ def test_positive_int_options_refuse_digit_separators(argv, c6_file, tmp_path, c
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert "'1_0' is not an integer" in err
+    bad = next(a for a in argv if "_" in a)
+    assert f"'{bad}' is not an integer" in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,17 @@ from kfactor import (
     NO_FACTOR,
     Graph,
     KLimitedSubgraph,
-    SearchCounters,
+    SolveStats,
     Trail,
     compute_k_factor,
     verify_factor,
 )
 from kfactor import matching
 from kfactor.difftest import DiffConfig, run_difftest
-from kfactor.matching import edmonds_augmenting_path
+from kfactor.matching import augment_from_cursor, edmonds_augmenting_path
 from kfactor.oracle import brute_force_k_factor, random_gnp
 
-from bruteforce import cycle_graph
+from bruteforce import augmenting_trails, cycle_graph, random_klimited
 
 # hubs 0-6 and seven triangles; hub i is joined to one vertex of triangle i
 # (a planted perfect matching) and to random triangle vertices. The layered
@@ -136,7 +136,7 @@ def test_finder_paths_are_simple_and_accepted_on_random_hosts():
         n = 2 * rng.randint(1, 20)
         g = random_gnp(n, min(1.0, rng.uniform(1.0, 4.0) / n), rng)
         m = KLimitedSubgraph(g, 1)
-        counters = SearchCounters()
+        stats = SolveStats()
         paths = []
         deficits = []
 
@@ -145,7 +145,7 @@ def test_finder_paths_are_simple_and_accepted_on_random_hosts():
             paths.append(darts)
             deficits.append(m.deficit)
 
-        assert edmonds_augmenting_path(g, m, accepted, counters) is None
+        assert edmonds_augmenting_path(g, m, accepted, stats) is None
         # each path the finder took is simple and, replayed from the empty
         # matching, accepted by apply_trail with the same drop in deficit
         replay = KLimitedSubgraph(g, 1)
@@ -159,9 +159,9 @@ def test_finder_paths_are_simple_and_accepted_on_random_hosts():
         assert replay.in_m == m.in_m
         m.check_consistency()
         done = (g.n - m.deficit) // 2
-        assert counters.extracted == done == len(paths)
+        assert stats.trails_examined == done == len(paths)
         augmentations += done
-        blossoms += counters.blossoms
+        blossoms += stats.blossom_operations
         if g.m <= 24:
             assert (m.deficit == 0) == (brute_force_k_factor(g, 1) is not None)
             checked += 1
@@ -192,14 +192,51 @@ def test_finder_contracts_an_odd_cycle():
     # reached from 1 only once 1 is even, so the path goes round the cycle
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
     m = KLimitedSubgraph.from_edges(g, 1, [g.edge_id(1, 2)])
-    counters = SearchCounters()
+    stats = SolveStats()
     events = []
-    assert edmonds_augmenting_path(g, m, lambda *a: events.append(a), counters) is None
+    assert edmonds_augmenting_path(g, m, lambda *a: events.append(a), stats) is None
     assert [e[0] for e in events] == ["accepted"]
     path = Trail(g, events[0][1:])
     assert path.vertices() == [0, 2, 1, 3]
-    assert (counters.blossoms, counters.extracted) == (1, 1)
+    assert (stats.blossom_operations, stats.trails_examined) == (1, 1)
     assert m.deficit == 0
+
+
+def test_search_gets_the_least_unfilled_vertex():
+    """augment_from_cursor with a spy search, on random hosts and states: each
+    call receives the least unfilled vertex, which has no blue dart to an
+    unfilled vertex, and the cursor never moves down. The spy returns a random
+    vertex-simple augmenting path, or now and then None, which ends the loop."""
+    rng = random.Random(2525)
+    calls = nones = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        k = rng.randint(1, 3)
+        m = random_klimited(g, k, rng)
+        cursors = []
+        gave_up = []
+
+        def search(cursor):
+            unfilled = [v for v in range(g.n) if m.deg[v] < k]
+            assert cursor == unfilled[0]
+            blue = [d for d in g.adjacency[cursor] if (d >> 1) not in m.in_m]
+            assert all(m.deg[g.dart_heads[d]] == k for d in blue)
+            assert not cursors or cursors[-1] <= cursor
+            cursors.append(cursor)
+            paths = [darts for darts in augmenting_trails(g, m)
+                     if len(set(Trail(g, darts).vertices())) == len(darts) + 1]
+            if not paths or rng.random() < 0.1:
+                gave_up.append(cursor)
+                return None
+            return rng.choice(paths)
+
+        assert augment_from_cursor(g, m, search) is None
+        m.check_consistency()
+        assert (m.deficit == 0) != bool(gave_up)
+        calls += len(cursors)
+        nones += len(gave_up)
+    assert calls > 300 and nones > 50
 
 
 def test_refused_path_raises_assertion(monkeypatch):
@@ -210,7 +247,7 @@ def test_refused_path_raises_assertion(monkeypatch):
     g = Graph(4, [(0, 1), (0, 2), (1, 3)])
     roots = []
 
-    def even_path(g, m, root, counters):
+    def even_path(g, m, root, stats):
         roots.append(root)
         return [3, 0]  # 2 -> 0 -> 1: vertex-simple, but of even length
 
@@ -222,7 +259,7 @@ def test_refused_path_raises_assertion(monkeypatch):
 
 def test_engine_refuses_a_non_simple_path(monkeypatch):
     # 2 -> 0 -> 1 -> 0 revisits vertex 0 (and edge 0)
-    monkeypatch.setattr(matching, "_blossom_path", lambda g, m, root, counters: [3, 0, 1])
+    monkeypatch.setattr(matching, "_blossom_path", lambda g, m, root, stats: [3, 0, 1])
     g = Graph(4, [(0, 1), (0, 2), (1, 3)])
     with pytest.raises(AssertionError, match="non-simple path"):
         compute_k_factor(g, 1)

@@ -18,12 +18,11 @@ import random
 
 import pytest
 
-from kfactor import Graph, KLimitedSubgraph, Trail
+from kfactor import Graph, KLimitedSubgraph, SolveStats, Trail
 from kfactor.oracle import random_gnp
 from kfactor.search import (
     BlossomViolation,
     LayeredDartGraph,
-    SearchCounters,
     blossom_operation,
     build_layers,
     extract_trail,
@@ -353,10 +352,10 @@ def test_blossom_deletes_in_dart_end_to_end():
     assert find_blossom_violation(second) is None
 
     events = []
-    counters = SearchCounters()
-    trail = find_augmenting_trail(g, m, trace=record(events), counters=counters)
+    stats = SolveStats()
+    trail = find_augmenting_trail(g, m, trace=record(events), stats=stats)
     assert trail.darts == (11, 6, 12, 3, 4)
-    assert (counters.extracted, counters.blossoms) == (2, 1)
+    assert (stats.trails_examined, stats.blossom_operations) == (2, 1)
     assert events == [
         ("layer-built", 0, 2),
         ("layer-built", 1, 4),
@@ -481,11 +480,11 @@ def test_find_takes_one_dart_shortcut():
     g = path_graph(2)
     m = KLimitedSubgraph(g, 1)
     events = []
-    counters = SearchCounters()
-    trail = find_augmenting_trail(g, m, trace=record(events), counters=counters)
+    stats = SolveStats()
+    trail = find_augmenting_trail(g, m, trace=record(events), stats=stats)
     assert trail.darts == (0,)
     assert events == [("layer-built", 0, 1), ("extracted", 0), ("accepted", 0)]
-    assert (counters.extracted, counters.blossoms) == (1, 0)
+    assert (stats.trails_examined, stats.blossom_operations) == (1, 0)
 
 
 def test_find_prefers_lowest_unfilled_neighbour():
@@ -526,11 +525,11 @@ def test_counters_match_trace_tallies():
         if m.deficit == 0:
             continue
         events = []
-        counters = SearchCounters()
-        find_augmenting_trail(g, m, trace=record(events), counters=counters)
+        stats = SolveStats()
+        find_augmenting_trail(g, m, trace=record(events), stats=stats)
         names = [e[0] for e in events]
-        assert counters.extracted == names.count("extracted")
-        assert counters.blossoms == names.count("blossom")
+        assert stats.trails_examined == names.count("extracted")
+        assert stats.blossom_operations == names.count("blossom")
         assert set(names) <= {
             "layer-built",
             "restricted",

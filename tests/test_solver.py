@@ -13,8 +13,8 @@ from kfactor import (
     NO_FACTOR,
     Graph,
     KLimitedSubgraph,
-    SearchCounters,
     SolveOutcome,
+    SolveStats,
     Trail,
     compute_bipartite_k_factor,
     compute_k_factor,
@@ -546,14 +546,14 @@ def test_every_engine_augments_in_place_and_returns_none():
             g = random_gnp(rng.randint(1, 9), rng.uniform(0.2, 0.9), rng)
             engine = edmonds_augmenting_path if name == "edmonds" else solver._layered_augment
         m = KLimitedSubgraph(g, k)
-        counters = SearchCounters()
+        stats = SolveStats()
         events = []
-        assert engine(g, m, lambda *a: events.append(a), counters) is None
+        assert engine(g, m, lambda *a: events.append(a), stats) is None
         m.check_consistency()
         done = (k * g.n - m.deficit) // 2
         assert sum(e[0] == "accepted" for e in events) == done
         if name != "layered":
-            assert counters.extracted == done
+            assert stats.trails_examined == done
         engines[name] += done
     assert min(engines.values()) > 100
 
@@ -677,9 +677,9 @@ def test_fill_takes_forced_vertices_first():
         k = rng.randint(1, 3)
         m = KLimitedSubgraph(g, k)
         replay = KLimitedSubgraph(g, k)
-        counters = SearchCounters()
+        stats = SolveStats()
         events = []
-        assert solver._karp_sipser_fill(g, m, lambda *a: events.append(a), counters) is None
+        assert solver._karp_sipser_fill(g, m, lambda *a: events.append(a), stats) is None
         taking = None  # the forced vertex whose edges are being taken
         for event, d in events:
             assert event == "accepted"
@@ -703,7 +703,7 @@ def test_fill_takes_forced_vertices_first():
             replay.augment_edge(d >> 1)
         assert replay.in_m == m.in_m
         assert is_maximal(g, m)
-        assert counters.extracted == len(events)
+        assert stats.trails_examined == len(events)
         m.check_consistency()
     assert forced_edges > 800 and cursor_edges > 100
 

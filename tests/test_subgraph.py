@@ -269,70 +269,11 @@ def test_apply_random_bruteforce_trails():
 
 
 # ---------------------------------------------------------------------------
-# first_unfilled, the start cursor
-
-
-def least_unfilled(m: KLimitedSubgraph) -> int:
-    return min((v for v in range(m.graph.n) if m.deg[v] < m.k), default=m.graph.n)
-
-
-def test_first_unfilled_tracks_augmentations():
-    """Over random states and the trails applied to them, the cursor is the least
-    unfilled vertex (n when none) and never moves down, however sparsely it is read."""
-    rng = random.Random(414)
-    steps = 0
-    for _ in range(300):
-        n = rng.randint(1, 7)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
-        g = Graph(n, pairs)
-        k = rng.randint(1, 3)
-        m = random_klimited(g, k, rng)
-        last = m.first_unfilled()
-        assert last == least_unfilled(m)
-        while True:
-            trails = augmenting_trails(g, m)
-            if not trails:
-                break
-            m.apply_trail(Trail(g, rng.choice(trails)))
-            steps += 1
-            if rng.random() < 0.5:
-                continue
-            now = m.first_unfilled()
-            assert now == least_unfilled(m)
-            assert now >= last
-            last = now
-        assert m.first_unfilled() == least_unfilled(m)
-    assert steps > 300
-
-
-def test_first_unfilled_copy_carries_the_cursor():
-    g = cycle_graph(6)
-    m = KLimitedSubgraph(g, 1)
-    m.apply_trail(Trail(g, (0,)))  # 0 - 1
-    assert m.first_unfilled() == 2
-    c = m.copy()
-    assert c.first_unfilled() == 2
-    c.apply_trail(Trail(g, (4,)))  # 2 - 3
-    assert c.first_unfilled() == 4
-    assert m.first_unfilled() == 2
-    assert m.deg == [1, 1, 0, 0, 0, 0]
-
-
-def test_first_unfilled_from_edges():
-    g = cycle_graph(6)
-    assert KLimitedSubgraph.from_edges(g, 1, [0, 2]).first_unfilled() == 4
-    assert KLimitedSubgraph.from_edges(g, 1, [1, 3]).first_unfilled() == 0
-    assert KLimitedSubgraph.from_edges(g, 1, [0, 2, 4]).first_unfilled() == 6
-    assert KLimitedSubgraph.from_edges(g, 2, [0, 1]).first_unfilled() == 0
-    assert KLimitedSubgraph(Graph(0, []), 1).first_unfilled() == 0
-
-
-# ---------------------------------------------------------------------------
 # augment_edge, the one-edge augmentation
 
 
 def state(m: KLimitedSubgraph):
-    return set(m.in_m), list(m.deg), m.deficit, m._unfilled_from, list(m._changed)
+    return set(m.in_m), list(m.deg), m.deficit, list(m._changed)
 
 
 @pytest.mark.parametrize(
@@ -349,7 +290,6 @@ def state(m: KLimitedSubgraph):
 def test_augment_edge_refusal_changes_nothing(member, e, fragment):
     g = square()
     m = KLimitedSubgraph.from_edges(g, 1, member)
-    m.first_unfilled()  # settle the lazy cursor, so the snapshot holds its value
     snapshot = state(m)
     with pytest.raises(ValueError, match=fragment):
         m.augment_edge(e)
@@ -358,9 +298,8 @@ def test_augment_edge_refusal_changes_nothing(member, e, fragment):
 
 
 def test_augment_edge_matches_the_one_dart_trail():
-    """Random accepted one-edge augmentations keep the state consistent, equal
-    apply_trail on the one-dart trail, and keep the cursor on the least unfilled
-    vertex; refused ones change nothing."""
+    """Random accepted one-edge augmentations keep the state consistent and equal
+    apply_trail on the one-dart trail; refused ones change nothing."""
     rng = random.Random(1515)
     accepted = refused = 0
     for _ in range(300):
@@ -371,7 +310,6 @@ def test_augment_edge_matches_the_one_dart_trail():
             continue
         k = rng.randint(1, 3)
         m = random_klimited(g, k, rng) if rng.random() < 0.5 else KLimitedSubgraph(g, k)
-        last = m.first_unfilled()
         for _ in range(3 * g.m):
             e = rng.randrange(g.m)
             u, v = g.endpoints[e]
@@ -387,10 +325,6 @@ def test_augment_edge_matches_the_one_dart_trail():
             m.augment_edge(e)
             m.check_consistency()
             assert (m.in_m, m.deg, m.deficit, m._changed) == (twin.in_m, twin.deg, twin.deficit, twin._changed)
-            now = m.first_unfilled()
-            assert now == least_unfilled(m)
-            assert now >= last
-            last = now
             accepted += 1
     assert accepted > 300 and refused > 300
 
@@ -574,7 +508,6 @@ def test_augment_darts_refuses_each_clause_as_validate_does(g, k, member, darts)
     ok, why = m.validate_augmenting_trail(Trail(g, darts))
     assert not ok
     hold_memo(m)
-    m.first_unfilled()  # settle the lazy cursor, so the snapshot holds its value
     snapshot = state(m), dict(m.dead_starts)
     with pytest.raises(ValueError) as info:
         m.augment_darts(darts)
@@ -592,7 +525,6 @@ def test_augment_darts_makes_the_range_and_chain_checks_of_trail(darts):
     g = square()
     m = KLimitedSubgraph(g, 1)
     hold_memo(m)
-    m.first_unfilled()
     snapshot = state(m)
     with pytest.raises(ValueError) as expected:
         Trail(g, darts)
