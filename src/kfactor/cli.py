@@ -9,7 +9,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -31,6 +30,15 @@ def _int(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
+def _float(text: str) -> float:
+    try:
+        if "_" in text:  # float reads '_' digit separators: '0_5' would be 5.0
+            raise ValueError(text)
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
 
 
 def _positive_int(text: str) -> int:
@@ -70,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--random", type=_positive_int, metavar="COUNT",
                         help="COUNT seeded random instances")
     diff.add_argument("--n", type=_positive_int, help="vertex count for random mode")
-    diff.add_argument("--p", type=float, help="gnp edge probability")
+    diff.add_argument("--p", type=_float, help="gnp edge probability")
     diff.add_argument("--d", type=_int, help="regular model degree")
     diff.add_argument("--k", type=_positive_int, action="append", required=True,
                       help="k value to test, repeatable")
@@ -149,7 +157,7 @@ def _cmd_solve(args) -> int:
             "factor": None if outcome.factor is None
             else [g.endpoints[e] for e in outcome.factor],
             "reason": outcome.reason,
-            "stats": dataclasses.asdict(outcome.stats),
+            "stats": vars(outcome.stats),
         }
         if oracle_doc is not None:
             doc["oracle"] = oracle_doc

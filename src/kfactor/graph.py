@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable
+import operator
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
 MAX_VERTICES = 1_000_000  # parse_graph's cap on n: a Graph allocates per vertex
 
@@ -42,11 +44,14 @@ def dart_edge(dart: int) -> int:
 class Graph:
     """Immutable simple undirected graph (no loops, no parallel edges).
 
-    The constructor is the one place that decides whether an edge list is
-    valid. Each edge is checked as it is read, in this order, and the
-    first refused edge raises ValueError: "loop edge at vertex U", then
-    "vertex index X out of range for n = N", then "duplicate edge (A, B)".
-    parse_graph reports the same messages on the refused edge's line.
+    The constructor decides whether an edge list is valid. Each edge is
+    checked as it is read, in this order, and the first refused edge
+    raises ValueError: "loop edge at vertex U", then "vertex index X out
+    of range for n = N", then "duplicate edge (A, B)". parse_graph
+    reports the same messages on the refused edge's line. Its bulk
+    reader checks a whole edge list in C and builds only a list the
+    constructor accepts unchanged; every other list goes to the
+    constructor. Both end in _build, the trusted build.
 
     Attributes:
         n: vertex count.
@@ -76,25 +81,36 @@ class Graph:
                 raise ValueError(f"duplicate edge {pair}")
             edge_ids[pair] = len(endpoints)
             endpoints.append(pair)
+        self._build(n, list(chain.from_iterable(endpoints)), endpoints, edge_ids)
 
-        tails: list[int] = []
-        heads: list[int] = []
+    def _build(
+        self,
+        n: int,
+        tails: list[int],
+        endpoints: Sequence[tuple[int, int]],
+        edge_ids: dict[tuple[int, int], int],
+    ) -> None:
+        """Set every attribute from edges already checked: the trusted build.
+
+        endpoints holds the normalized (low, high) pairs of a simple graph
+        on n vertices, edge_ids maps each pair to its index, and tails is
+        the flat list u0 v0 u1 v1 ... of those pairs, which is dart_tails
+        as it stands. Nothing is checked here, so a caller passes only
+        edges the constructor would accept.
+        """
+        heads = [0] * len(tails)
+        heads[0::2] = tails[1::2]
+        heads[1::2] = tails[0::2]
         out: list[list[int]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(endpoints):
-            tails.append(u)
-            heads.append(v)
-            tails.append(v)
-            heads.append(u)
-            out[u].append(2 * e)
-            out[v].append(2 * e + 1)
-
+        for d, t in enumerate(tails):
+            out[t].append(d)
         self.n = n
         self.m = len(endpoints)
         self.endpoints = tuple(endpoints)
         self.dart_tails = tuple(tails)
         self.dart_heads = tuple(heads)
-        # per-vertex darts arrive in increasing edge id, hence already sorted
-        self.adjacency = tuple(tuple(ds) for ds in out)
+        # per-vertex darts arrive in increasing dart id, hence already sorted
+        self.adjacency = tuple(map(tuple, out))
         self._edge_ids = edge_ids
 
     def degree(self, v: int) -> int:
@@ -164,17 +180,35 @@ def _read_canonical(text: str) -> Graph | None:
     The integers are read with one JSON scan of the text turned into an
     array. JSON refuses a leading zero ('07') and a decimal over int's
     digit limit with a ValueError, so such a document, like one that
-    fails a check, is left to the line reader.
+    fails a header check, is left to the line reader. The edge checks run
+    in C over the whole list: every id below n (the scan admits no sign),
+    every pair already (low, high), so no loop, and no pair twice. A list
+    that passes is exactly one the constructor accepts unchanged, and goes
+    to the trusted Graph._build. Any other list goes to the constructor,
+    which normalizes reversed pairs or refuses; on a refusal the document
+    is left to the line reader, which names the line.
     """
     if _CANONICAL.fullmatch(text) is None:
         return None
     try:
         ints = json.loads("[" + text.rstrip("\n").replace("\n", ",").replace(" ", ",") + "]")
-        n, m = ints[0], ints[1]
-        if n > MAX_VERTICES or len(ints) != 2 * m + 2:
-            return None
-        return Graph(n, zip(ints[2::2], ints[3::2]))
-    except ValueError:  # a leading zero, a decimal over int's digit limit, or an edge Graph refuses
+    except ValueError:  # a leading zero or a decimal over int's digit limit
+        return None
+    n, m = ints[0], ints[1]
+    if n > MAX_VERTICES or len(ints) != 2 * m + 2:
+        return None
+    del ints[:2]
+    us, vs = ints[0::2], ints[1::2]
+    if max(ints, default=-1) < n and all(map(operator.lt, us, vs)):
+        endpoints = tuple(zip(us, vs))
+        edge_ids = dict(zip(endpoints, range(m)))
+        if len(edge_ids) == m:
+            g = Graph.__new__(Graph)
+            g._build(n, ints, endpoints, edge_ids)
+            return g
+    try:
+        return Graph(n, zip(us, vs))
+    except ValueError:  # an edge Graph refuses
         return None
 
 
@@ -193,11 +227,13 @@ def parse_graph(text: str) -> Graph:
     The canonical document, the one serialize_graph writes (no comments
     or blank lines, every line two ASCII decimals split by one space and
     ending at '\n', the last line optionally not), is read in bulk: one
-    JSON scan of the whole text, the same header checks, and Graph's edge
-    checks. Any other document, a canonical one with a leading zero or a
-    decimal over int's digit limit (JSON refuses both), and a canonical
-    one that fails a check, is read line by line, so the result and
-    every error are the same either way.
+    JSON scan of the whole text, the same header checks, and edge checks
+    in C that pass only a list Graph accepts unchanged, sending any other
+    list to Graph itself (see _read_canonical). Any other document, a
+    canonical one with a leading zero or a decimal over int's digit
+    limit (JSON refuses both), and a canonical one that fails a check, is
+    read line by line, so the result and every error are the same either
+    way.
     """
     g = _read_canonical(text)
     if g is not None:

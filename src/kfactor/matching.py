@@ -115,10 +115,13 @@ def _blossom_path(
 
     One breadth-first alternating tree from root, with blossoms
     contracted as the module docstring describes; each contraction counts
-    as one blossom operation. A path whose recovery does not reach the
-    root raises AssertionError.
+    as one blossom operation. A vertex's mate is read at most once per
+    search, by a plain scan of its darts for the one matched dart, and
+    not at all when the vertex is exposed (degree 0 in m). A path whose
+    recovery does not reach the root raises AssertionError.
     """
     in_m = m.in_m
+    deg = m.deg
     heads = g.dart_heads
     tails = g.dart_tails
     adjacency = g.adjacency
@@ -128,9 +131,15 @@ def _blossom_path(
     link: dict[int, int] = {}  # union-find parent; a vertex absent here is a root of its set
 
     def mate(v: int) -> int:
+        if not deg[v]:
+            return -1
         d = mates.get(v)
         if d is None:
-            d = next((d for d in adjacency[v] if (d >> 1) in in_m), -1)
+            for d in adjacency[v]:
+                if (d >> 1) in in_m:
+                    break
+            else:
+                d = -1
             mates[v] = d
         return d
 

@@ -281,6 +281,16 @@ def test_positive_int_options_refuse_digit_separators(argv, c6_file, tmp_path, c
     assert f"'{bad}' is not an integer" in err
 
 
+def test_difftest_p_refuses_digit_separators(tmp_path, capsys):
+    # float("0_0") is 0.0; --p takes plain decimals, like the integer options
+    code = main(["difftest", "--random", "1", "--n", "4", "--p", "0_0", "--k", "1",
+                 "--out", str(tmp_path / "cex")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "'0_0' is not a number" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

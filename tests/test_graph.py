@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import tracemalloc
 
@@ -364,4 +365,58 @@ def test_bulk_reader_reads_every_serialized_graph(g):
     h = graph_module._read_canonical(text)
     assert h is not None
     _same_graph(h, parse_graph("#\n" + text))
+    _same_graph(h, g)
+
+
+@contextlib.contextmanager
+def _constructor_calls():
+    """Count the calls of Graph.__init__ made inside the block."""
+    calls = []
+    init = Graph.__init__
+
+    def spy(self, n, edges):
+        calls.append(n)
+        init(self, n, edges)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Graph, "__init__", spy)
+        yield calls
+
+
+@given(random_graphs())
+def test_bulk_reader_builds_serialized_graphs_without_the_constructor(g):
+    # the C checks pass a serialized graph straight to the trusted build
+    text = serialize_graph(g)
+    with _constructor_calls() as calls:
+        h = graph_module._read_canonical(text)
+    assert calls == []
+    _same_graph(h, parse_graph("#\n" + text))
+    _same_graph(h, g)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\n1 0\n1 2\n",  # reversed pair: the constructor normalizes it
+        "4 2\n0 1\n3 2",  # reversed, no final newline
+        "3 2\n0 1\n1 1\n",  # loop
+        "3 2\n0 1\n0 1\n",  # duplicate
+        "3 2\n0 1\n1 0\n",  # duplicate, reversed
+        "3 2\n0 1\n1 3\n",  # out of range
+        "3 1\n5 0\n",  # out of range and reversed
+    ],
+)
+def test_bulk_reader_sends_unchecked_edge_lists_to_the_constructor(text):
+    assert graph_module._CANONICAL.fullmatch(text)
+    with _constructor_calls() as calls:
+        h = graph_module._read_canonical(text)
+    assert len(calls) == 1
+    try:
+        g = parse_graph("#\n" + text)
+    except GraphFormatError as lines:
+        assert h is None
+        with pytest.raises(GraphFormatError) as bulk:
+            parse_graph(text)
+        assert (bulk.value.line + 1, bulk.value.reason) == (lines.line, lines.reason)
+        return
     _same_graph(h, g)
