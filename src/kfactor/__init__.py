@@ -6,10 +6,12 @@ cycle cover at k = 2). The solver grows a degree-capped subgraph one
 augmenting trail at a time: each trail alternates between non-member and
 member edges, is found with a layered search over darts (oriented half
 edges), and repairs fold-backs through odd cycles with a blossom deletion
-step. At k = 1 the trails are augmenting paths from Edmonds' blossom
-search on the graph itself. A brute-force oracle and a differential-test
-harness ship alongside the solver; `kfactor --help` exposes the solver,
-the factor checker and the harness on the command line.
+step. When that search fails, Edmonds' blossom search on Tutte's gadget
+finishes the subgraph or proves that no k-factor exists; at k = 1 the
+blossom search alone runs, on the graph itself. A brute-force oracle and
+a differential-test harness ship alongside the solver; `kfactor --help`
+exposes the solver, the factor checker and the harness on the command
+line.
 """
 
 from .difftest import DiffConfig, DiffReport, DiffRow, run_difftest

@@ -26,16 +26,8 @@ through an odd alternating cycle; the violation names the in-dart and the
 later, opposite out-dart. The blossom operation deletes the in-dart
 unless doing so would disconnect the start from the target (a cut dart),
 in which case it deletes the out-dart; either way the dart count strictly
-drops, so the extract/repair loop terminates.
-
-A failed search from a start reads the subgraph only at the start and
-at the heads of the darts in its layers: the degree of those vertices
-and the membership of the edges at them. An augmentation changes
-membership only on its trail's edges and degrees only at its ends, so
-while no augmentation touches one of those vertices the same search
-would fail the same way. find_augmenting_trail keeps that read set per
-failed start in the subgraph's dead_starts memo and skips the start
-until KLimitedSubgraph.unchanged_since says the memo no longer holds.
+drops, so the extract/repair loop terminates. find_augmenting_trail
+searches from one start only, the least unfilled vertex.
 """
 
 from __future__ import annotations
@@ -100,9 +92,7 @@ class LayeredDartGraph:
         return not self.layers or not self.layers[0] or not self.layers[-1]
 
 
-def build_layers(
-    g: Graph, m: KLimitedSubgraph, start: int, trace=None, *, reach: set[int] | None = None
-) -> LayeredDartGraph | None:
+def build_layers(g: Graph, m: KLimitedSubgraph, start: int, trace=None) -> LayeredDartGraph | None:
     """Grow dart layers from an unfilled start vertex.
 
     Returns the layered graph the moment some blue layer's head set holds a
@@ -110,8 +100,6 @@ def build_layers(
     empty next layer). Every layer admits at least one dart not seen
     before, so there are at most 2*m layers. Only filled head vertices are
     extended from, since a trail may pass through filled vertices only.
-    On None, a given reach set gains every vertex the build read m at:
-    the start and the heads of all darts it admitted.
     """
     if m.is_filled(start):
         raise ValueError(f"start vertex {start} is filled")
@@ -124,8 +112,6 @@ def build_layers(
     seen = bytearray(2 * g.m)
     first = [d for d in adjacency[start] if (d >> 1) not in in_m]
     if not first:
-        if reach is not None:
-            reach.add(start)
         return None
     for d in first:
         seen[d] = 1
@@ -152,21 +138,10 @@ def build_layers(
                 seen[d] = 1
                 nxt.append(d)
         if not nxt:
-            if reach is not None:
-                reach |= _vertices_read(g, start, layers)
             return None
         layers.append(set(nxt))
         if trace:
             trace("layer-built", len(layers) - 1, len(nxt))
-
-
-def _vertices_read(g: Graph, start: int, layers: list[set[int]]) -> set[int]:
-    """The start and the head of every dart in the layers."""
-    heads = g.dart_heads
-    out = {start}
-    for layer in layers:
-        out.update([heads[d] for d in layer])
-    return out
 
 
 def prune(l: LayeredDartGraph, trace=None) -> LayeredDartGraph:
@@ -313,91 +288,71 @@ def blossom_operation(gv: LayeredDartGraph, bv: BlossomViolation, trace=None) ->
 def find_augmenting_trail(
     g: Graph, m: KLimitedSubgraph, trace=None, stats: SolveStats | None = None
 ) -> Trail | None:
-    """Search for an augmenting trail for the subgraph m.
+    """Search for an augmenting trail of the subgraph m from its least unfilled vertex.
 
-    Unfilled start vertices are tried in ascending id. For each, the dart
-    layers are grown and every valid endpoint in the terminal head set is
-    tried in ascending id, the start itself (closed trail) last: the
-    layered graph is restricted to that endpoint and the extract/repair
-    loop runs until an edge-simple trail appears or the restriction dies.
-    Returns the undirected trail of the first success, None after all
-    starts and endpoints fail. A given SolveStats counts the extractions
-    and blossom operations without the cost of a trace.
-
-    A start whose layers could not be built, or whose every restriction
-    died, is memoised in m.dead_starts with the current deficit and the
-    vertices its search read. It is skipped, probe included, for as long
-    as m.unchanged_since holds for that memo: the search would read the
-    same values and fail again. Once an augmentation touches one of those
-    vertices the memo is dropped and the start is searched as before.
-    Skipped starts emit no trace events and add no counts.
+    The start is found by a scan from vertex 0. A blue dart from it to an
+    unfilled neighbour, the lowest such neighbour first, is returned at
+    once. Otherwise the dart layers are grown and every valid endpoint in
+    the terminal head set is tried in ascending id, the start itself
+    (closed trail) last: the layered graph is restricted to that endpoint
+    and the extract/repair loop runs until an edge-simple trail appears or
+    the restriction dies. Returns the undirected trail of the first
+    success, None as soon as the start fails: its layers could not be
+    built (it has no blue dart, for one) or every restriction died. No
+    later start is tried. A given SolveStats counts the extractions and
+    blossom operations without the cost of a trace.
     """
-    deficit = m.deficit
-    if deficit == 0:
+    if m.deficit == 0:
         raise ValueError("subgraph has no deficit, nothing to augment")
     k = m.k
     deg = m.deg
     in_m = m.in_m
-    dead = m.dead_starts
     dart_heads = g.dart_heads
-    adjacency = g.adjacency
-    for start in range(g.n):
-        if deg[start] == k:
+    start = next(v for v in range(g.n) if deg[v] < k)
+    # probe for a one-dart trail first: a blue dart straight to an
+    # unfilled neighbour is what restriction, pruning and extraction
+    # would deliver from a single-layer graph, at a fraction of the
+    # cost, and it is the common case while the subgraph is sparse
+    blue = 0
+    best_v = -1
+    best_d = -1
+    for d in g.adjacency[start]:
+        if (d >> 1) in in_m:
             continue
-        memo = dead.get(start)
-        if memo is not None:
-            if m.unchanged_since(*memo):
-                continue
-            del dead[start]
-        # probe for a one-dart trail first: a blue dart straight to an
-        # unfilled neighbour is what restriction, pruning and extraction
-        # would deliver from a single-layer graph, at a fraction of the
-        # cost, and it is the common case while the subgraph is sparse
-        blue = 0
-        best_v = -1
-        best_d = -1
-        for d in adjacency[start]:
-            if (d >> 1) in in_m:
-                continue
-            blue += 1
-            h = dart_heads[d]
-            if deg[h] < k and (best_v == -1 or h < best_v):
-                best_v = h
-                best_d = d
-        if best_d != -1:
+        blue += 1
+        h = dart_heads[d]
+        if deg[h] < k and (best_v == -1 or h < best_v):
+            best_v = h
+            best_d = d
+    if best_d != -1:
+        if stats is not None:
+            stats.trails_examined += 1
+        if trace:
+            trace("layer-built", 0, blue)
+            trace("extracted", best_d)
+            trace("accepted", best_d)
+        return Trail(g, (best_d,))
+    built = build_layers(g, m, start, trace)
+    if built is None:
+        return None
+    heads = built.terminal_heads()
+    targets = sorted(v for v in heads if deg[v] < k and v != start)
+    if start in heads and deg[start] < k - 1:
+        targets.append(start)
+    for v in targets:
+        gv = restrict_to_target(built, v, trace)
+        while not gv.is_dead():
+            trail = extract_trail(gv, trace)
+            if trail is None:
+                break
             if stats is not None:
                 stats.trails_examined += 1
-            if trace:
-                trace("layer-built", 0, blue)
-                trace("extracted", best_d)
-                trace("accepted", best_d)
-            return Trail(g, (best_d,))
-        if blue == 0:
-            continue
-        reach: set[int] = set()
-        built = build_layers(g, m, start, trace, reach=reach)
-        if built is None:
-            dead[start] = (deficit, reach)
-            continue
-        heads = built.terminal_heads()
-        targets = sorted(v for v in heads if deg[v] < k and v != start)
-        if start in heads and deg[start] < k - 1:
-            targets.append(start)
-        for v in targets:
-            gv = restrict_to_target(built, v, trace)
-            while not gv.is_dead():
-                trail = extract_trail(gv, trace)
-                if trail is None:
-                    break
-                if stats is not None:
-                    stats.trails_examined += 1
-                violation = find_blossom_violation(trail)
-                if violation is None:
-                    if trace:
-                        trace("accepted", *trail.darts)
-                    return trail
-                if stats is not None:
-                    stats.blossom_operations += 1
-                gv = blossom_operation(gv, violation, trace)
-        dead[start] = (deficit, _vertices_read(g, start, built.layers))
+            violation = find_blossom_violation(trail)
+            if violation is None:
+                if trace:
+                    trace("accepted", *trail.darts)
+                return trail
+            if stats is not None:
+                stats.blossom_operations += 1
+            gv = blossom_operation(gv, violation, trace)
     return None

@@ -8,31 +8,34 @@ a perfect matching, it is matching.edmonds_augmenting_path, Edmonds'
 blossom search on the host itself, which gives up after the first root
 whose search fails: no perfect matching exists then. For k >= 2 it is
 _layered_augment, which takes the layered search's trails
-(find_augmenting_trail) until there are none. compute_bipartite_k_factor
-refuses non-bipartite input and uses _bfs_augmenting_path, a
-breadth-first shortest alternating path search that is sound on
-bipartite hosts only. It first fills the empty state with
-_karp_sipser_fill, a Karp-Sipser pass adapted to degree caps that takes
-the edges of forced vertices first (those with no more edges to unfilled
-vertices than they can still take) and ends maximal, so that only a few
-vertices are left for the search.
+(find_augmenting_trail) until the search fails at its start, the least
+unfilled vertex. That failure proves nothing, so the state goes to
+_gadget_augment: Tutte's gadget (1954) turns a k-factor of the host into
+a perfect matching of a larger graph H, and Edmonds' search on H, warm
+started from the layered search's state, either completes it or proves
+that no k-factor exists. Every answer is therefore exact.
+compute_bipartite_k_factor refuses non-bipartite input and uses
+_bfs_augmenting_path, a breadth-first shortest alternating path search
+that is sound on bipartite hosts only. It first fills the empty state
+with _karp_sipser_fill, a Karp-Sipser pass adapted to degree caps that
+takes the edges of forced vertices first (those with no more edges to
+unfilled vertices than they can still take) and ends maximal, so that
+only a few vertices are left for the search.
 
 The blossom and bipartite engines share one loop,
 matching.augment_from_cursor, which keeps its own start cursor: the
 least unfilled vertex, which only moves up because degrees never drop.
-The layered engine still scans its starts from vertex 0: the same cursor
-there pushed acceptance criterion 6's 500 -> 1000 doubling ratio under
-its 2.5 floor. It keeps a memo on the state instead, m.dead_starts, and
-skips a start whose search failed until an augmentation touches a vertex
-that search read, so each "no" from a start is paid for once per change
-to what it saw rather than once per augmentation.
+The layered search finds the same vertex by a scan from vertex 0 on
+each call: the cursor there pushed acceptance criterion 6's 500 -> 1000
+doubling ratio under its 2.5 floor.
 
 Every engine is called as augment(g, m, trace, stats) and returns None;
 m is the solve's one working state and stats its SolveStats. An engine
-changes m's edges only through m's checked augmentations (augment_edge,
-augment_darts, apply_trail) and keeps any memo in m.dead_starts. It adds
-its extractions to stats.trails_examined and its blossom operations to
-stats.blossom_operations, and traces each augmentation as accepted. The
+changes m's edges only through m's checked steps: augment_edge,
+augment_darts, apply_trail, and replace_edges, which sets the whole
+member set at once. It adds its extractions to stats.trails_examined
+and its blossom operations to stats.blossom_operations, and traces each
+augmentation of m as accepted (the gadget's, on H, are not traced). The
 checks are real raises: augment_edge refuses an edge that is not a
 one-edge augmenting trail, augment_darts (which apply_trail calls) a
 dart sequence that is not an augmenting trail, and re-checks that the
@@ -102,17 +105,19 @@ def feasibility_precheck(g: Graph, k: int) -> str | None:
 def compute_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
     """Find a k-factor of g, or decide that none exists.
 
-    Statuses: factor_found (with the edge id list), no_factor (the trail
-    search was exhausted at some state), infeasible_precheck (a necessary
-    condition failed before any search). A successful run performs exactly
-    k*n/2 augmentations.
+    Statuses: factor_found (with the edge id list), no_factor (a blossom
+    search failed, on g or on Tutte's gadget, which proves there is none),
+    infeasible_precheck (a necessary condition failed before any search).
+    A successful run reports exactly k*n/2 augmentations.
 
-    At k = 1 the trails are augmenting paths from Edmonds' blossom search,
-    and every answer is exact. There blossom_operations counts blossom
-    contractions, trails_examined equals augmentations, and trace emits
-    only "accepted" events; on no_factor, deficit and augmentations are
-    those at the first failed search. For k >= 2 the layered search can
-    miss a trail, so a no_factor answer can be wrong.
+    At k = 1 the trails are augmenting paths from Edmonds' blossom search:
+    blossom_operations counts its contractions, trails_examined equals
+    augmentations, and trace emits only "accepted" events. For k >= 2 a
+    failed layered search hands the state to Tutte's gadget
+    (_gadget_augment), whose augmentations and contractions count into
+    the same stats and emit no trace events. Every answer is exact. On
+    no_factor, deficit and augmentations are those at the first failed
+    search.
     """
     return _solve(g, k, edmonds_augmenting_path if k == 1 else _layered_augment, trace)
 
@@ -120,18 +125,58 @@ def compute_k_factor(g: Graph, k: int, trace=None) -> SolveOutcome:
 def _layered_augment(
     g: Graph, m: KLimitedSubgraph, trace=None, stats: SolveStats | None = None
 ) -> None:
-    """Augment m in place with find_augmenting_trail's trails until it finds none; return None.
+    """Augment m in place with find_augmenting_trail's trails, then by the gadget; return None.
 
     Each trail is taken with m.apply_trail, whose refusal is raised as
-    AssertionError.
+    AssertionError. When the search finds none, _gadget_augment decides.
     """
     while m.deficit > 0:
         # looked up by name on each call: perfbench's layer tracer patches both
         trail = find_augmenting_trail(g, m, trace, stats)
         if trail is None:
-            return None
+            return _gadget_augment(g, m, stats)
         try:
             m.apply_trail(trail)
+        except ValueError as exc:
+            raise AssertionError(str(exc)) from exc
+
+
+def _gadget_augment(g: Graph, m: KLimitedSubgraph, stats: SolveStats | None) -> None:
+    """Make m a k-factor in place when g has one, by Tutte's gadget; else leave m as it is.
+
+    H has k copies v*k + i of each vertex v and two vertices a = k*n + 2e
+    and a + 1 for each edge e = uv. H's edge e*(2k+1) joins a to a + 1,
+    e*(2k+1) + 1 + i joins copy i of u to a, and e*(2k+1) + 1 + k + i
+    copy i of v to a + 1. A perfect matching of H leaves a and a + 1
+    apart exactly on the edges of a k-factor of g. m gives H's start: a
+    member edge matches a and a + 1 to spare copies of u and v, any
+    other a to a + 1. matching.edmonds_augmenting_path completes it, or
+    fails, which proves that g has no k-factor; a completed matching's
+    factor replaces m's edges.
+    """
+    k = m.k
+    n = g.n
+    step = 2 * k + 1
+    pairs = []
+    warm = []
+    used = [0] * n  # the copies of each vertex that warm has matched
+    for e, (u, v) in enumerate(g.endpoints):
+        a = k * n + 2 * e
+        pairs.append((a, a + 1))
+        pairs.extend((u * k + i, a) for i in range(k))
+        pairs.extend((v * k + i, a + 1) for i in range(k))
+        if e in m.in_m:
+            warm += (e * step + 1 + used[u], e * step + 1 + k + used[v])
+            used[u] += 1
+            used[v] += 1
+        else:
+            warm.append(e * step)
+    h = Graph(k * n + 2 * g.m, pairs)
+    hm = KLimitedSubgraph.from_edges(h, 1, warm)
+    edmonds_augmenting_path(h, hm, None, stats)
+    if hm.deficit == 0:
+        try:
+            m.replace_edges([e for e in range(g.m) if e * step not in hm.in_m])
         except ValueError as exc:
             raise AssertionError(str(exc)) from exc
 

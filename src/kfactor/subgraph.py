@@ -83,27 +83,14 @@ class KLimitedSubgraph:
     augment_darts augments the receiver in place along any dart sequence
     that is an augmenting trail, and refuses every other with nothing
     changed; apply_trail is the same for a Trail, and augment_edge for a
-    one-edge trail given by its edge id. copy() is the explicit way to
-    branch a state that must survive an augmentation. The deficit is
+    one-edge trail given by its edge id; replace_edges swaps the whole
+    member set in one checked step. copy() is the explicit way to branch
+    a state that must survive an augmentation. The deficit is
     cached and maintained incrementally; check_consistency() recomputes
     everything from the membership set and raises on any drift.
-
-    dead_starts is the layered search's memo on this state: start vertex ->
-    (deficit, vertices its failed search read), each entry made at the
-    deficit of the moment. Each vertex carries a change clock for it: the
-    deficit left by the last augmentation that stamped the vertex, or k*n,
-    which no augmentation leaves. An augmentation stamps every vertex of
-    its trail (both ends of an added edge), but only while the memo holds
-    an entry: no other augmentation can make an entry stale, and the
-    bipartite engine, which keeps no memo, pays nothing for the clock.
-    The deficit drops by exactly 2 per augmentation, so
-    unchanged_since(deficit, vertices) tells whether an augmentation since
-    that deficit touched one of the vertices, for the deficit of any entry
-    the memo has held since. copy() carries the clock and starts with an
-    empty memo.
     """
 
-    __slots__ = ("graph", "k", "in_m", "deg", "dead_starts", "_deficit", "_changed")
+    __slots__ = ("graph", "k", "in_m", "deg", "_deficit")
 
     def __init__(self, graph: Graph, k: int):
         if k < 1:
@@ -112,27 +99,40 @@ class KLimitedSubgraph:
         self.k = k
         self.in_m: set[int] = set()
         self.deg = [0] * graph.n
-        self.dead_starts: dict[int, tuple[int, set[int]]] = {}
         self._deficit = k * graph.n
-        self._changed = [k * graph.n] * graph.n
 
     @classmethod
     def from_edges(cls, graph: Graph, k: int, edges) -> "KLimitedSubgraph":
-        """Build a subgraph with the given member edge ids; rejects cap overflow."""
+        """Build a subgraph with the given member edge ids: replace_edges on the empty one."""
         m = cls(graph, k)
+        m.replace_edges(edges)
+        return m
+
+    def replace_edges(self, edges) -> None:
+        """Make the given edge ids the member set, in place.
+
+        Refused (ValueError), with nothing changed, on an unknown or repeated
+        id or on an edge that would push a vertex past degree k.
+        """
+        graph = self.graph
+        k = self.k
+        in_m: set[int] = set()
+        deg = [0] * graph.n
         for e in edges:
             if not 0 <= e < graph.m:
                 raise ValueError(f"unknown edge id {e}")
-            if e in m.in_m:
+            if e in in_m:
                 raise ValueError(f"edge id {e} listed twice")
             u, v = graph.endpoints[e]
-            if m.deg[u] >= k or m.deg[v] >= k:
+            if deg[u] >= k or deg[v] >= k:
                 raise ValueError(f"edge {e} would push a vertex past degree {k}")
-            m.in_m.add(e)
-            m.deg[u] += 1
-            m.deg[v] += 1
-        m._deficit = k * graph.n - 2 * len(m.in_m)
-        return m
+            in_m.add(e)
+            deg[u] += 1
+            deg[v] += 1
+        self.in_m.clear()
+        self.in_m.update(in_m)
+        self.deg[:] = deg
+        self._deficit = k * graph.n - 2 * len(in_m)
 
     def copy(self) -> "KLimitedSubgraph":
         out = KLimitedSubgraph.__new__(KLimitedSubgraph)
@@ -140,9 +140,7 @@ class KLimitedSubgraph:
         out.k = self.k
         out.in_m = set(self.in_m)
         out.deg = list(self.deg)
-        out.dead_starts = {}
         out._deficit = self._deficit
-        out._changed = list(self._changed)
         return out
 
     @property
@@ -152,18 +150,6 @@ class KLimitedSubgraph:
 
     def is_filled(self, v: int) -> bool:
         return self.deg[v] == self.k
-
-    def unchanged_since(self, deficit: int, vertices) -> bool:
-        """True when no augmentation since this deficit touched any of the vertices.
-
-        Exact when dead_starts has held an entry ever since the state had
-        this deficit, so that every augmentation made meanwhile stamped.
-        """
-        changed = self._changed
-        for v in vertices:
-            if changed[v] < deficit:
-                return False
-        return True
 
     def member_edges(self) -> list[int]:
         return sorted(self.in_m)
@@ -181,8 +167,6 @@ class KLimitedSubgraph:
             raise AssertionError("degree cap exceeded")
         if self._deficit != self.k * self.graph.n - 2 * len(self.in_m):
             raise AssertionError("cached deficit out of sync with membership")
-        if any(not self._deficit <= c <= self.k * self.graph.n for c in self._changed):
-            raise AssertionError("change clock outside [deficit, k*n]")
 
     def validate_augmenting_trail(self, trail: Trail) -> tuple[bool, str]:
         """Check the augmenting-trail clauses; return (ok, first failed clause).
@@ -247,8 +231,7 @@ class KLimitedSubgraph:
         ("not an augmenting trail: <clause>"). The deficit identity and the
         degree cap are re-checked after the toggle and raise AssertionError
         on failure, since a violation here means the augmentation machinery
-        is broken. While dead_starts holds an entry, every vertex of the
-        trail is stamped with the new deficit.
+        is broken.
         """
         graph = self.graph
         _check_chain(graph, darts)
@@ -279,10 +262,6 @@ class KLimitedSubgraph:
         for v in touched:
             if not 0 <= deg[v] <= k:
                 raise AssertionError(f"degree bound violated at vertex {v}")
-        if self.dead_starts:
-            changed = self._changed
-            for v in touched:
-                changed[v] = self._deficit
 
     def augment_edge(self, e: int) -> None:
         """Add edge e in place: the augmentation along the one-edge trail e.
@@ -291,8 +270,7 @@ class KLimitedSubgraph:
         of the host whose two endpoints are both unfilled; for a one-edge
         trail those are all the clauses validate_augmenting_trail checks,
         since the host has no loops. Both endpoint degrees rise by one and
-        the deficit drops by exactly 2; while dead_starts holds an entry,
-        both endpoints are stamped with the new deficit.
+        the deficit drops by exactly 2.
         """
         if not 0 <= e < self.graph.m:
             raise ValueError(f"unknown edge id {e}")
@@ -307,8 +285,6 @@ class KLimitedSubgraph:
         deg[u] += 1
         deg[v] += 1
         self._deficit -= 2
-        if self.dead_starts:
-            self._changed[u] = self._changed[v] = self._deficit
 
 
 def serialize_factor(g: Graph, edges) -> str:

@@ -11,7 +11,7 @@ The seven criteria:
      re-verified k-regular spanning, under 2 minutes
   2. every augmentation drops the deficit by exactly 2 and keeps the
      subgraph degree-capped, replayed step by step outside the engine
-  3. exhaustive differential sweep of all 1,024 labeled 5-vertex graphs,
+  3. exhaustive differential sweep of all 32,768 labeled 6-vertex graphs,
      k in {1, 2, 3}: no missed factors, no false factors, under 1 minute
   4. bipartite engine matches the oracle exactly on exhaustive 3+3 and
      sampled 4+4 hosts, and every accepted path is vertex-simple
@@ -142,7 +142,7 @@ def test_criterion_2_deficit_drops_by_two():
 def test_criterion_3_exhaustive_differential(tmp_path):
     t0 = time.perf_counter()
     cfg = DiffConfig(
-        mode="exhaustive", n=5, k_values=(1, 2, 3), out_dir=str(tmp_path)
+        mode="exhaustive", n=6, k_values=(1, 2, 3), out_dir=str(tmp_path)
     )
     report = run_difftest(cfg)
     elapsed = time.perf_counter() - t0
@@ -151,13 +151,13 @@ def test_criterion_3_exhaustive_differential(tmp_path):
     ok = (
         missed == 0
         and false == 0
-        and report.total("instances") == 1024 * 3
+        and report.total("instances") == 32768 * 3
         and elapsed < 60.0
     )
     _report(
         "3 exhaustive-differential",
         ok,
-        f"3072 instances, missed={missed} false={false}, {elapsed:.1f}s"
+        f"98304 instances, missed={missed} false={false}, {elapsed:.1f}s"
         + (f", counterexamples in {tmp_path}" if report.counterexamples else ""),
     )
 

@@ -6,9 +6,9 @@ in-dart, and one where the in-dart is a cut dart so the out-dart goes and
 the restriction dies. Both were worked out by hand and cross-checked
 against the enumerators in bruteforce.py. The rest of the module checks
 the structural promises (layer parity, prune idempotence, lexicographic
-extraction, strict blossom shrinkage) over randomized instances. A third
-pinned instance shows a failed start's memo holding and then being
-dropped once an augmentation touches a vertex its search read.
+extraction, strict blossom shrinkage) over randomized instances. The
+full search tries one start only, the least unfilled vertex, and is
+compared with the enumerated trails that leave that vertex.
 """
 
 from __future__ import annotations
@@ -506,8 +506,9 @@ def test_find_agrees_with_enumeration_randomized():
         m = random_klimited(g, k, rng)
         if m.deficit == 0:
             continue
+        start = next(v for v in range(n) if m.deg[v] < k)
         trail = find_augmenting_trail(g, m)
-        assert (trail is not None) == has_augmenting_trail(g, m)
+        assert (trail is not None) == any(g.dart_tails[t[0]] == start for t in augmenting_trails(g, m))
         if trail is not None:
             ok, why = m.validate_augmenting_trail(trail)
             assert ok, why
@@ -594,106 +595,3 @@ def test_every_enumerated_trail_is_engine_reachable():
         assert trail.darts in set(augmenting_trails(g, m))
         hits += 1
     assert hits >= 80
-
-
-# ---------------------------------------------------------------------------
-# the dead-start memo
-
-
-def clique_hub_host(hubs: int, cliques: int, hub_edges: int, rng: random.Random) -> Graph:
-    """Hubs 0..hubs-1, then disjoint K5s joined only to hubs, each by at least one edge.
-
-    With more cliques than hubs, deleting the hubs leaves more odd
-    components than hubs, so there is no 1-factor.
-    """
-    edges = set()
-    for c in range(cliques):
-        first = hubs + 5 * c
-        edges.update((first + a, first + b) for a in range(5) for b in range(a + 1, 5))
-    targets = list(range(cliques)) + [rng.randrange(cliques) for _ in range(hub_edges - cliques)]
-    for c in targets:
-        free = [(h, hubs + 5 * c + a) for h in range(hubs) for a in range(5)]
-        edges.add(rng.choice([e for e in free if e not in edges]))
-    return Graph(hubs + 5 * cliques, sorted(edges))
-
-
-def memo_hosts():
-    """(family, g, k) over random G(n, p), clique-and-hub barriers and odd cliques."""
-    rng = random.Random(1601)
-    for _ in range(150):
-        n = rng.randint(6, 20)
-        yield "gnp", random_gnp(n, rng.uniform(0.2, 0.7), rng), rng.randint(1, 3)
-    for _ in range(15):
-        yield "barrier", clique_hub_host(3, 5, 6, rng), 1
-    for _ in range(15):
-        # one K5 per hub, so a 1-factor may exist through the hub edges
-        yield "odd_cliques", clique_hub_host(8, 8, 20, rng), 1
-
-
-def test_memo_changes_no_trail_along_solves():
-    """At every step of a solve, the search with the state's memo returns the
-    same trail as the search from a copy, whose memo is empty."""
-    skipped: dict[str, int] = {}
-    for family, g, k in memo_hosts():
-        m = KLimitedSubgraph(g, k)
-        while m.deficit > 0:
-            skipped[family] = skipped.get(family, 0) + sum(
-                1 for s, memo in m.dead_starts.items() if m.deg[s] < k and m.unchanged_since(*memo)
-            )
-            fresh = m.copy()
-            trail = find_augmenting_trail(g, m)
-            again = find_augmenting_trail(g, fresh)
-            assert (trail and trail.darts) == (again and again.darts)
-            if trail is None:
-                break
-            m.apply_trail(trail)
-    assert all(skipped.get(family, 0) > 0 for family in ("gnp", "barrier", "odd_cliques")), skipped
-
-
-def test_memo_changes_no_trail_along_random_augmentations():
-    """As above, but each step applies a random enumerated trail instead of the
-    engine's: that touches the graph in more places and revives dead starts."""
-    rng = random.Random(1602)
-    revived = 0
-    for _ in range(300):
-        n = rng.randint(5, 9)
-        g = random_gnp(n, rng.uniform(0.3, 0.8), rng)
-        k = rng.randint(1, 3)
-        m = KLimitedSubgraph(g, k)
-        while m.deficit > 0:
-            stale = {s for s, memo in m.dead_starts.items() if not m.unchanged_since(*memo)}
-            trail = find_augmenting_trail(g, m)
-            again = find_augmenting_trail(g, m.copy())
-            assert (trail and trail.darts) == (again and again.darts)
-            revived += trail is not None and trail.start in stale
-            trails = augmenting_trails(g, m)
-            if not trails:
-                break
-            m.apply_trail(Trail(g, rng.choice(trails)))
-    assert revived > 0
-
-
-def test_memo_holds_until_an_augmentation_touches_what_its_search_read():
-    # edges 0..9: (0,1) (0,3) (0,4) (1,2) (1,4) (2,6) (3,5) (3,7) (5,7) (6,7)
-    g = Graph(8, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 6), (3, 5), (3, 7), (5, 7), (6, 7)])
-    m = KLimitedSubgraph.from_edges(g, 2, [0, 2, 3, 5, 6, 7])
-    assert m.deficit == 4 and [v for v in range(8) if m.deg[v] < 2] == [4, 5, 6, 7]
-    # from 4 the layers run 4 -> 1 -> {0, 2} -> 3 -> {5, 7} and stop: the
-    # last layer is red and its heads 5 and 7 are unfilled, so nothing grows
-    # from them; 5 then has the one-dart trail 5 -> 7
-    first = find_augmenting_trail(g, m)
-    assert first.darts == (16,)
-    assert m.dead_starts == {4: (4, {0, 1, 2, 3, 4, 5, 7})}
-    # while the memo holds, start 4 is skipped without a trace event
-    events = []
-    assert find_augmenting_trail(g, m, trace=record(events)).darts == (16,)
-    assert events == [("layer-built", 0, 1), ("extracted", 16), ("accepted", 16)]
-    m.apply_trail(first)
-    assert not m.unchanged_since(*m.dead_starts[4])
-    # 5 and 7 are filled now, so the layers from 4 go on through 7 to 6
-    second = find_augmenting_trail(g, m)
-    assert second.darts == (9, 1, 2, 14, 19)
-    assert [g.dart_tails[d] for d in second.darts] == [4, 1, 0, 3, 7]
-    assert 4 not in m.dead_starts
-    m.apply_trail(second)
-    assert m.deficit == 0

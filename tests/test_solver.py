@@ -23,8 +23,8 @@ from kfactor import (
     two_coloring,
     verify_factor,
 )
-from kfactor import solver
-from kfactor.oracle import brute_force_k_factor, enumerate_graphs, random_gnp
+from kfactor import search, solver
+from kfactor.oracle import brute_force_k_factor, enumerate_graphs, random_gnp, random_regular
 
 from bruteforce import (
     augmenting_trails,
@@ -215,6 +215,74 @@ def test_layered_engine_agrees_with_bruteforce_at_k1_on_all_5_and_6_vertex_graph
             if out.factor is not None:
                 assert verify_factor(g, 1, out.factor) == (True, {})
     assert min(counts.values()) > 0
+
+
+# ---------------------------------------------------------------------------
+# the hand-off to Tutte's gadget
+
+
+def test_layered_solve_finds_the_factor_the_layered_search_misses():
+    g = random_regular(80, 4, random.Random(25))
+    out = compute_k_factor(g, 2)
+    assert out.status == FACTOR_FOUND
+    assert verify_factor(g, 2, out.factor) == (True, {})
+
+
+def test_friendship_host_fails_one_layered_search(monkeypatch):
+    # a hub joined to 300 triangles through it, beside a 4-regular host: the
+    # hub's degree 600 rules out a 2-factor. The layered search stops at its
+    # first failed start and the gadget proves the answer, so the solve
+    # builds no more failed layers than that one
+    edges = [(0, a) for i in range(300) for a in (2 * i + 1, 2 * i + 2)]
+    edges += [(2 * i + 1, 2 * i + 2) for i in range(300)]
+    edges += [(u + 601, v + 601) for u, v in random_regular(1000, 4, random.Random(1)).endpoints]
+    g = Graph(1601, edges)
+    built = search.build_layers
+    failed = []
+
+    def spy(*args):
+        out = built(*args)
+        failed.append(out is None)
+        return out
+
+    monkeypatch.setattr(search, "build_layers", spy)
+    assert compute_k_factor(g, 2).status == NO_FACTOR
+    assert sum(failed) == 1
+
+
+def test_gadget_completes_any_state_exactly():
+    """From random k-limited states of small hosts, the gadget makes a k-factor
+    exactly when one exists, and otherwise leaves the state as it was."""
+    rng = random.Random(2701)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        g = random_gnp(n, rng.uniform(0.3, 0.9), rng)
+        k = rng.randint(1, 3)
+        m = random_klimited(g, k, rng)
+        before = (set(m.in_m), list(m.deg), m.deficit)
+        solver._gadget_augment(g, m, SolveStats())
+        m.check_consistency()
+        if brute_force_k_factor(g, k) is not None:
+            assert verify_factor(g, k, m.member_edges()) == (True, {})
+            found += 1
+        else:
+            assert (m.in_m, m.deg, m.deficit) == before
+    assert found > 50
+
+
+def test_gadget_refusal_raises_assertion(monkeypatch):
+    replace = KLimitedSubgraph.replace_edges
+
+    def refuse_on_the_host(self, edges):
+        if self.k == 2:
+            raise ValueError("refused")
+        replace(self, edges)
+
+    monkeypatch.setattr(KLimitedSubgraph, "replace_edges", refuse_on_the_host)
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4)])
+    with pytest.raises(AssertionError, match="refused"):
+        compute_k_factor(g, 2)
 
 
 # ---------------------------------------------------------------------------

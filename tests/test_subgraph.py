@@ -86,6 +86,33 @@ def test_from_edges_rejections(edges, fragment):
         KLimitedSubgraph.from_edges(square(), 1, edges)
 
 
+def test_replace_edges_sets_the_member_set_in_place():
+    g = square()
+    m = KLimitedSubgraph.from_edges(g, 2, [0, 1])
+    in_m, deg = m.in_m, m.deg
+    m.replace_edges([3, 2, 0])
+    assert m.member_edges() == [0, 2, 3]
+    assert m.deg == [2, 1, 1, 2] and m.deficit == 2
+    assert m.in_m is in_m and m.deg is deg
+    m.check_consistency()
+
+
+@pytest.mark.parametrize(
+    "edges, fragment",
+    [
+        ([9], "unknown edge id"),
+        ([0, 0], "listed twice"),
+        ([0, 1, 3], "past degree 1"),
+    ],
+)
+def test_replace_edges_refusal_changes_nothing(edges, fragment):
+    m = KLimitedSubgraph.from_edges(square(), 1, [1])
+    before = (set(m.in_m), list(m.deg), m.deficit)
+    with pytest.raises(ValueError, match=fragment):
+        m.replace_edges(edges)
+    assert (m.in_m, m.deg, m.deficit) == before
+
+
 def test_copy_is_independent():
     g = square()
     m = KLimitedSubgraph.from_edges(g, 2, [0])
@@ -273,7 +300,7 @@ def test_apply_random_bruteforce_trails():
 
 
 def state(m: KLimitedSubgraph):
-    return set(m.in_m), list(m.deg), m.deficit, list(m._changed)
+    return set(m.in_m), list(m.deg), m.deficit
 
 
 @pytest.mark.parametrize(
@@ -324,164 +351,9 @@ def test_augment_edge_matches_the_one_dart_trail():
             twin.apply_trail(Trail(g, (2 * e + rng.randint(0, 1),)))
             m.augment_edge(e)
             m.check_consistency()
-            assert (m.in_m, m.deg, m.deficit, m._changed) == (twin.in_m, twin.deg, twin.deficit, twin._changed)
+            assert (m.in_m, m.deg, m.deficit) == (twin.in_m, twin.deg, twin.deficit)
             accepted += 1
     assert accepted > 300 and refused > 300
-
-
-# ---------------------------------------------------------------------------
-# the change clock and the dead-start memo
-
-
-def touched_since(m: KLimitedSubgraph, deficit: int) -> set[int]:
-    return {v for v in range(m.graph.n) if m._changed[v] < deficit}
-
-
-def hold_memo(m: KLimitedSubgraph) -> None:
-    """Give m a memo entry, made at its current deficit, so augmentations stamp."""
-    m.dead_starts[m.graph.n] = (m.deficit, set())
-
-
-def test_clock_starts_untouched():
-    g = cycle_graph(6)
-    for m in (KLimitedSubgraph(g, 2), KLimitedSubgraph.from_edges(g, 2, [0, 3])):
-        assert m._changed == [12] * 6
-        assert m.dead_starts == {}
-        assert m.unchanged_since(m.deficit, range(6))
-
-
-def test_apply_trail_stamps_every_vertex_of_an_open_trail():
-    # 0 -> 1 blue, 1 -> 2 red, 2 -> 3 blue on the path 0 - 1 - 2 - 3 - 4 - 5
-    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-    m = KLimitedSubgraph.from_edges(g, 1, [1])
-    before = m.deficit
-    m.dead_starts[4] = (before, {3, 4, 5})
-    m.apply_trail(Trail(g, (0, 2, 4)))
-    assert m.deficit == before - 2
-    assert m._changed == [before - 2] * 4 + [6, 6]
-    assert touched_since(m, before) == {0, 1, 2, 3}
-    assert not m.unchanged_since(*m.dead_starts[4])
-    assert m.unchanged_since(before, [4, 5])
-    assert m.unchanged_since(m.deficit, range(6))
-    m.check_consistency()
-
-
-def test_apply_trail_stamps_every_vertex_of_a_closed_trail():
-    # closed walk at 0: 0 -> 1 blue (e0), 1 -> 2 red (e1), 2 -> 0 blue (e2)
-    g = Graph(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4), (3, 4), (0, 3)])
-    m = KLimitedSubgraph.from_edges(g, 2, [1, 3, 4])
-    before = m.deficit
-    hold_memo(m)
-    m.apply_trail(Trail(g, (0, 2, 5)))
-    assert touched_since(m, before) == {0, 1, 2}
-    assert m.unchanged_since(before, [3, 4])
-    assert not m.unchanged_since(before, [4, 0])
-    m.check_consistency()
-
-
-def test_augment_edge_stamps_both_endpoints():
-    g = cycle_graph(6)
-    m = KLimitedSubgraph(g, 1)
-    hold_memo(m)
-    m.augment_edge(2)  # 2 - 3
-    assert m._changed == [6, 6, 4, 4, 6, 6]
-    m.augment_edge(4)  # 4 - 5
-    assert m._changed == [6, 6, 4, 4, 2, 2]
-    assert m.unchanged_since(4, [0, 1, 2, 3])
-    assert not m.unchanged_since(4, [5])
-    assert not m.unchanged_since(6, [3])
-    m.check_consistency()
-
-
-def test_no_stamps_without_a_memo_and_later_memos_stay_exact():
-    # with the memo empty no entry can go stale, so nothing is stamped; an
-    # entry made afterwards sees every augmentation from then on
-    g = cycle_graph(6)
-    m = KLimitedSubgraph(g, 1)
-    m.augment_edge(0)  # 0 - 1
-    m.apply_trail(Trail(g, (4,)))  # 2 - 3
-    assert m._changed == [6] * 6
-    m.dead_starts[4] = (m.deficit, {3, 4})
-    assert m.unchanged_since(*m.dead_starts[4])
-    m.augment_edge(4)  # 4 - 5
-    assert not m.unchanged_since(*m.dead_starts[4])
-    assert m._changed == [6, 6, 6, 6, 0, 0]
-    m.check_consistency()
-
-
-def test_refusals_stamp_nothing():
-    g = cycle_graph(6)
-    m = KLimitedSubgraph(g, 1)
-    hold_memo(m)
-    m.augment_edge(0)  # 0 - 1
-    snapshot = state(m)
-    with pytest.raises(ValueError, match="endpoint 1 is filled"):
-        m.augment_edge(1)  # 1 - 2
-    with pytest.raises(ValueError, match="position 0 must be blue"):
-        m.apply_trail(Trail(g, (0,)))
-    with pytest.raises(ValueError, match="endpoint 1 is filled"):
-        m.apply_trail(Trail(g, (3,)))  # 2 -> 1
-    assert state(m) == snapshot
-
-
-def test_copy_carries_the_clock_and_starts_with_an_empty_memo():
-    g = cycle_graph(6)
-    m = KLimitedSubgraph(g, 1)
-    m.dead_starts[0] = (m.deficit, {0, 1, 5})
-    m.augment_edge(2)  # 2 - 3
-    c = m.copy()
-    assert c._changed == m._changed and c._changed is not m._changed
-    assert c.dead_starts == {}
-    hold_memo(c)
-    c.augment_edge(0)  # 0 - 1
-    assert m._changed == [6, 6, 4, 4, 6, 6]
-    assert c._changed == [2, 2, 4, 4, 6, 6]
-    assert m.dead_starts == {0: (6, {0, 1, 5})}
-
-
-def test_check_consistency_catches_a_clock_ahead_of_the_deficit():
-    m = KLimitedSubgraph(cycle_graph(4), 1)
-    hold_memo(m)
-    m.augment_edge(0)
-    m.check_consistency()
-    m._changed[2] = 0
-    with pytest.raises(AssertionError, match="change clock"):
-        m.check_consistency()
-
-
-def test_unchanged_since_tracks_every_augmentation():
-    """Over random solves by both kinds of augmentation, with a memo entry held,
-    unchanged_since(d, S) holds exactly when no augmentation since deficit d
-    touched a vertex of S."""
-    rng = random.Random(1616)
-    checks = 0
-    for _ in range(200):
-        n = rng.randint(2, 8)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
-        g = Graph(n, pairs)
-        k = rng.randint(1, 3)
-        m = random_klimited(g, k, rng) if rng.random() < 0.5 else KLimitedSubgraph(g, k)
-        hold_memo(m)
-        touched = {m.deficit: set()}  # deficit -> vertices touched since
-        while True:
-            trails = augmenting_trails(g, m)
-            if not trails:
-                break
-            darts = rng.choice(trails)
-            if len(darts) == 1 and rng.random() < 0.5:
-                m.augment_edge(darts[0] >> 1)
-            else:
-                m.apply_trail(Trail(g, darts))
-            vertices = set(Trail(g, darts).vertices())
-            for seen in touched.values():
-                seen |= vertices
-            touched[m.deficit] = set()
-            for d, seen in touched.items():
-                some = set(rng.sample(range(n), rng.randint(0, n)))
-                assert m.unchanged_since(d, some) == (not some & seen)
-                checks += 1
-        m.check_consistency()
-    assert checks > 500
 
 
 # ---------------------------------------------------------------------------
@@ -507,24 +379,22 @@ def test_augment_darts_refuses_each_clause_as_validate_does(g, k, member, darts)
     m = KLimitedSubgraph.from_edges(g, k, member)
     ok, why = m.validate_augmenting_trail(Trail(g, darts))
     assert not ok
-    hold_memo(m)
-    snapshot = state(m), dict(m.dead_starts)
+    snapshot = state(m)
     with pytest.raises(ValueError) as info:
         m.augment_darts(darts)
     assert str(info.value) == f"not an augmenting trail: {why}"
-    assert (state(m), m.dead_starts) == snapshot
+    assert state(m) == snapshot
     # apply_trail refuses the same trail with the same message
     with pytest.raises(ValueError) as info:
         m.apply_trail(Trail(g, darts))
     assert str(info.value) == f"not an augmenting trail: {why}"
-    assert (state(m), m.dead_starts) == snapshot
+    assert state(m) == snapshot
 
 
 @pytest.mark.parametrize("darts", [(8,), (-1,), (0, 9), (0, 4), (1, 0, 4)])
 def test_augment_darts_makes_the_range_and_chain_checks_of_trail(darts):
     g = square()
     m = KLimitedSubgraph(g, 1)
-    hold_memo(m)
     snapshot = state(m)
     with pytest.raises(ValueError) as expected:
         Trail(g, darts)
@@ -547,8 +417,7 @@ def test_apply_trail_refuses_a_foreign_trail_unchanged():
 def test_augment_darts_equals_the_symmetric_difference():
     """On brute-force trails of random states, closed ones at k >= 3 included: the
     state after augment_darts is from_edges of M symmetric-difference the trail,
-    consistent, and stamped on exactly the trail's vertices while a memo entry
-    is held, and nowhere otherwise."""
+    and consistent."""
     rng = random.Random(2020)
     checked = closed = 0
     for _ in range(400):
@@ -564,20 +433,11 @@ def test_augment_darts_equals_the_symmetric_difference():
         closed_trails = [t for t in trails if g.dart_tails[t[0]] == g.dart_heads[t[-1]]]
         for darts in closed_trails[:5] + rng.sample(trails, min(10, len(trails))):
             out = m.copy()
-            memo = rng.random() < 0.5
-            if memo:
-                hold_memo(out)
-            clock = list(out._changed)
             out.augment_darts(list(darts))
             want = KLimitedSubgraph.from_edges(g, k, m.in_m ^ {d >> 1 for d in darts})
             assert (out.in_m, out.deg, out.deficit) == (want.in_m, want.deg, want.deficit)
             assert out.deficit == m.deficit - 2
             out.check_consistency()
-            vertices = set(Trail(g, darts).vertices())
-            if memo:
-                assert out._changed == [out.deficit if v in vertices else c for v, c in enumerate(clock)]
-            else:
-                assert out._changed == clock
             checked += 1
             closed += k >= 3 and g.dart_tails[darts[0]] == g.dart_heads[darts[-1]]
     assert checked > 1000 and closed > 20

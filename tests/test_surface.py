@@ -8,7 +8,8 @@ test-only membership and k-factor queries of KLimitedSubgraph, the
 supplied-bipartition parameter whose colouring was never used, a
 difftest edge cap that nothing could set, and the search's own tally
 record and start cursor, which the solve's stats and the cursor loop
-replaced.
+replaced, and the layered search's dead-start memo with its change
+clock, which Tutte's gadget made unneeded.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ def test_removed_names_stay_gone():
     assert not hasattr(matching, "augment_at_cursor")
     for attr in ("copy", "target", "head_set", "tail_set", "layer_indices"):
         assert not hasattr(kfactor.LayeredDartGraph, attr), attr
-    for attr in ("is_member", "dart_is_member", "is_k_factor", "first_unfilled"):
+    for attr in ("is_member", "dart_is_member", "is_k_factor", "first_unfilled",
+                 "unchanged_since", "dead_starts", "_changed"):
         assert not hasattr(kfactor.KLimitedSubgraph, attr), attr
+    assert not hasattr(search, "_vertices_read")
+    assert "reach" not in inspect.signature(search.build_layers).parameters
     assert "bipartition" not in inspect.signature(kfactor.compute_bipartite_k_factor).parameters
     assert "oracle_edge_cap" not in {f.name for f in dataclasses.fields(kfactor.DiffConfig)}
